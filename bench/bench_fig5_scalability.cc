@@ -36,7 +36,6 @@ namespace {
 std::vector<std::string> g_paper_rows;     // JSON rows of the paper sweeps
 std::vector<std::string> g_sampler_rows;   // JSON rows of the sampler sweep
 std::vector<std::string> g_e2e_rows;       // JSON rows of the e2e sweep
-std::vector<std::string> g_partition_rows; // JSON rows of the partition sweep
 
 struct DatasetPlan {
   isa::eval::DatasetId id;
@@ -267,89 +266,6 @@ bool RunE2eThreadSweep(const isa::eval::Dataset& ds, double fixed_budget) {
   return deterministic;
 }
 
-// Partition-count sweep on the same e2e workload: {1, 2, 8} partitions,
-// both policies at 8, same fixed seed. The partition layer's contract is
-// that the full TiResult is bit-identical at every partition count — this
-// is the CI determinism gate for the partitioned dispatch path (the
-// 1-partition row runs the legacy monolithic code, so the gate compares
-// the two implementations end to end). Returns false on mismatch.
-bool RunPartitionSweep(const isa::eval::Dataset& ds, double fixed_budget) {
-  auto inst = MakeInstance(ds, /*h=*/5, fixed_budget);
-  auto opt = isa::bench::QualityTiOptions();
-  opt.epsilon = 0.3;
-  opt.theta_cap = 60'000;
-  opt.window = 5000;
-  opt.candidate_rule = isa::core::CandidateRule::kCoverageCostRatio;
-  opt.selection_rule = isa::core::SelectionRule::kMaxRate;
-
-  std::printf("\n=== Partitioned RR sampling (TI-CSRM(5000), %s, h=5): "
-              "partitions vs wall-clock ===\n\n",
-              ds.name.c_str());
-  std::printf("%-12s  %-11s  %9s  %6s  %10s  %10s  %9s\n", "partitions",
-              "policy", "seconds", "seeds", "revenue", "crossings",
-              "local hit");
-
-  struct Config {
-    uint32_t partitions;
-    isa::graph::PartitionPolicy policy;
-  };
-  const Config configs[] = {
-      {1, isa::graph::PartitionPolicy::kNodeRange},
-      {2, isa::graph::PartitionPolicy::kNodeRange},
-      {8, isa::graph::PartitionPolicy::kNodeRange},
-      {8, isa::graph::PartitionPolicy::kEdgeCut},
-  };
-  bool deterministic = true;
-  isa::core::TiResult base;
-  for (const Config& cfg : configs) {
-    auto o = opt;
-    o.num_partitions = cfg.partitions;
-    o.partition_policy = cfg.policy;
-    isa::Stopwatch watch;
-    auto res = isa::core::RunTiGreedy(inst, o);
-    isa::bench::Check(res.status(), "partition sweep");
-    const double seconds = watch.ElapsedSeconds();
-    const isa::core::TiResult& r = res.value();
-    if (cfg.partitions == 1) {
-      base = r;
-    } else {
-      bool same = r.allocation.seed_sets == base.allocation.seed_sets &&
-                  r.total_revenue == base.total_revenue &&
-                  r.total_seeding_cost == base.total_seeding_cost &&
-                  r.total_theta == base.total_theta &&
-                  r.ad_stats.size() == base.ad_stats.size();
-      for (size_t j = 0; same && j < r.ad_stats.size(); ++j) {
-        const auto& a = base.ad_stats[j];
-        const auto& b = r.ad_stats[j];
-        same = a.theta == b.theta && a.revenue == b.revenue &&
-               a.payment == b.payment && a.seeding_cost == b.seeding_cost &&
-               a.latent_seed_size == b.latent_seed_size;
-      }
-      if (!same) deterministic = false;
-    }
-    std::printf("%-12u  %-11s  %9.3f  %6llu  %10.1f  %10llu  %8.3f\n",
-                cfg.partitions,
-                isa::graph::PartitionPolicyName(cfg.policy), seconds,
-                (unsigned long long)r.total_seeds, r.total_revenue,
-                (unsigned long long)r.total_partition_frontier_crossings,
-                r.partition_local_hit_rate);
-    std::fflush(stdout);
-    g_partition_rows.push_back(
-        isa::bench::JsonObject()
-            .Add("partitions", cfg.partitions)
-            .Add("policy", isa::graph::PartitionPolicyName(cfg.policy))
-            .Add("seconds", seconds)
-            .Add("seeds", r.total_seeds)
-            .Add("revenue", r.total_revenue)
-            .Add("frontier_crossings",
-                 r.total_partition_frontier_crossings)
-            .Add("local_hit_rate", r.partition_local_hit_rate)
-            .Add("partition_graph_bytes", r.partition_graph_memory_bytes)
-            .str());
-  }
-  return deterministic;
-}
-
 }  // namespace
 
 int main() {
@@ -368,7 +284,6 @@ int main() {
   };
 
   bool e2e_deterministic = true;
-  bool partition_deterministic = true;
   for (const DatasetPlan& plan : plans) {
     auto ds = isa::bench::MustValue(
         isa::eval::BuildDataset(plan.id, scale, 2017), "BuildDataset");
@@ -385,7 +300,6 @@ int main() {
     }
     if (plan.id == isa::eval::DatasetId::kDblp) {
       e2e_deterministic = RunE2eThreadSweep(*ds, plan.fixed_budget);
-      partition_deterministic = RunPartitionSweep(*ds, plan.fixed_budget);
     }
   }
 
@@ -399,21 +313,17 @@ int main() {
           .Add("hardware_concurrency",
                std::max(1u, std::thread::hardware_concurrency()))
           .Add("determinism_ok", sampler_deterministic && e2e_deterministic)
-          .Add("partition_determinism_ok", partition_deterministic)
           .AddRaw("paper_sweeps", isa::bench::JsonArray(g_paper_rows))
           .AddRaw("e2e_thread_sweep", isa::bench::JsonArray(g_e2e_rows))
-          .AddRaw("partition_sweep", isa::bench::JsonArray(g_partition_rows))
           .AddRaw("sampler_thread_sweep",
                   isa::bench::JsonArray(g_sampler_rows))
           .str());
 
-  if (!sampler_deterministic || !e2e_deterministic ||
-      !partition_deterministic) {
+  if (!sampler_deterministic || !e2e_deterministic) {
     std::fprintf(stderr,
-                 "[bench] DETERMINISM MISMATCH across thread/partition "
-                 "counts (sampler_ok=%d, e2e_ok=%d, partition_ok=%d)\n",
-                 sampler_deterministic, e2e_deterministic,
-                 partition_deterministic);
+                 "[bench] DETERMINISM MISMATCH across thread counts "
+                 "(sampler_ok=%d, e2e_ok=%d)\n",
+                 sampler_deterministic, e2e_deterministic);
     return 1;
   }
   return 0;

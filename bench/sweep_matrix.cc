@@ -27,13 +27,11 @@ std::string RenderAxis(const std::string& key, const SweepCell& cell) {
   if (key == "budget") return FormatG(cell.budget);
   if (key == "mem") return FormatG(cell.memory_fraction);
   if (key == "threads") return std::to_string(cell.num_threads);
-  if (key == "partitions") return std::to_string(cell.num_partitions);
   return {};
 }
 
-constexpr const char* kFilterKeys[] = {"dataset", "regime", "model",
-                                       "rule",    "budget", "mem",
-                                       "threads", "partitions"};
+constexpr const char* kFilterKeys[] = {"dataset", "regime", "model", "rule",
+                                       "budget",  "mem",    "threads"};
 
 bool KnownFilterKey(std::string_view key) {
   for (const char* k : kFilterKeys) {
@@ -125,7 +123,7 @@ Result<CellFilter> CellFilter::Parse(std::string_view spec) {
     if (!KnownFilterKey(key)) {
       return Status::InvalidArgument(StrFormat(
           "unknown filter key '%s' (expected dataset | regime | model | "
-          "rule | budget | mem | threads | partitions)",
+          "rule | budget | mem | threads)",
           key.c_str()));
     }
     if (value.empty()) {
@@ -168,7 +166,6 @@ Result<std::vector<SweepCell>> ExpandMatrix(const SweepAxes& axes,
       {"budgets", axes.budgets.empty()},
       {"memory_fractions", axes.memory_fractions.empty()},
       {"threads", axes.threads.empty()},
-      {"partitions", axes.partitions.empty()},
   };
   for (const AxisCheck& c : checks) {
     if (c.empty) {
@@ -195,34 +192,31 @@ Result<std::vector<SweepCell>> ExpandMatrix(const SweepAxes& axes,
             // run leads its group (fraction anchor + determinism base).
             for (double mem : axes.memory_fractions) {
               for (uint32_t threads : axes.threads) {
-                for (uint32_t parts : axes.partitions) {
-                  ++st.total_combinations;
-                  if (!ValidCombination(regime, model)) {
-                    ++st.skipped_invalid;
-                    continue;
-                  }
-                  SweepCell cell;
-                  cell.dataset = dataset;
-                  cell.regime = regime;
-                  cell.model = model;
-                  cell.rule = rule;
-                  cell.budget = budget;
-                  cell.memory_fraction = mem;
-                  cell.num_threads = threads;
-                  cell.num_partitions = parts;
-                  cell.group = StrFormat(
-                      "%s/%s/%s/%s/b%s", dataset.c_str(),
-                      graph::WeightingRegimeName(regime),
-                      DiffusionModelName(model), SweepRuleName(rule),
-                      FormatG(budget).c_str());
-                  cell.id = StrFormat("%s/m%s/t%u/p%u", cell.group.c_str(),
-                                      FormatG(mem).c_str(), threads, parts);
-                  if (!filter.Matches(cell)) {
-                    ++st.filtered_out;
-                    continue;
-                  }
-                  cells.push_back(std::move(cell));
+                ++st.total_combinations;
+                if (!ValidCombination(regime, model)) {
+                  ++st.skipped_invalid;
+                  continue;
                 }
+                SweepCell cell;
+                cell.dataset = dataset;
+                cell.regime = regime;
+                cell.model = model;
+                cell.rule = rule;
+                cell.budget = budget;
+                cell.memory_fraction = mem;
+                cell.num_threads = threads;
+                cell.group = StrFormat(
+                    "%s/%s/%s/%s/b%s", dataset.c_str(),
+                    graph::WeightingRegimeName(regime),
+                    DiffusionModelName(model), SweepRuleName(rule),
+                    FormatG(budget).c_str());
+                cell.id = StrFormat("%s/m%s/t%u", cell.group.c_str(),
+                                    FormatG(mem).c_str(), threads);
+                if (!filter.Matches(cell)) {
+                  ++st.filtered_out;
+                  continue;
+                }
+                cells.push_back(std::move(cell));
               }
             }
           }
@@ -340,7 +334,6 @@ core::TiOptions CellTiOptions(const SweepCell& cell, uint64_t budget_bytes,
       break;
   }
   opt.num_threads = cell.num_threads;
-  opt.num_partitions = cell.num_partitions;
   opt.rr_memory_budget_bytes = budget_bytes;
   return opt;
 }
@@ -382,7 +375,6 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
       SweepCell probe = cell;
       probe.memory_fraction = 0.0;
       probe.num_threads = 1;
-      probe.num_partitions = 1;
       auto res = core::RunTiGreedy(inst, CellTiOptions(probe, 0, options));
       if (!res.ok()) return res.status();
       group.base = std::move(res).value();
@@ -462,7 +454,6 @@ std::string MatrixReportToJson(const MatrixReport& report,
             .Add("budget", o.cell.budget)
             .Add("memory_fraction", o.cell.memory_fraction)
             .Add("threads", o.cell.num_threads)
-            .Add("partitions", o.cell.num_partitions)
             .Add("source", o.source)
             .Add("nodes", o.nodes)
             .Add("arcs", o.arcs)

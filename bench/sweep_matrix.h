@@ -1,17 +1,17 @@
 // Scenario-matrix sweep: dataset × weighting regime × diffusion model ×
-// algorithm rule × budget × threads × memory budget × partitions.
+// algorithm rule × budget × threads × memory budget.
 //
 // The expander turns a `SweepAxes` declaration into a flat, stably-ordered
 // list of `SweepCell`s — genmake-style: every cell carries a deterministic
-// id ("com-dblp/wc/ic/carm/b1500/t1/m0/p1") so two captures of the same
+// id ("com-dblp/wc/ic/carm/b1500/m0/t1") so two captures of the same
 // matrix can be diffed cell by cell (tools/check_bench_regression.py).
 // Combinations that are invalid by construction (Linear Threshold needs
 // Σ in-weights ≤ 1, which uniform-IC does not guarantee) are skipped and
 // counted, never silently emitted.
 //
 // Cells group by everything the determinism invariant says cannot change
-// the result: (dataset, regime, model, rule, budget) is the GROUP; threads,
-// memory fraction and partition count are VARIANTS within it. The runner
+// the result: (dataset, regime, model, rule, budget) is the GROUP; threads
+// and memory fraction are VARIANTS within it. The runner
 // executes each group's cells in order (memory fraction 0 first, so the
 // unbudgeted run both anchors the fraction → bytes conversion and serves
 // as the determinism base) and gates every variant against the base on the
@@ -52,8 +52,8 @@ const char* DiffusionModelName(rrset::DiffusionModel model);
 Result<rrset::DiffusionModel> ParseDiffusionModel(std::string_view name);
 
 /// The declared matrix. Axis order is also expansion order (outermost
-/// first): dataset, regime, model, rule, budget | mem, threads, partitions.
-/// The last three are the variant axes — see the file comment.
+/// first): dataset, regime, model, rule, budget | mem, threads.
+/// The last two are the variant axes — see the file comment.
 struct SweepAxes {
   std::vector<std::string> datasets;  // DatasetCatalog names
   std::vector<graph::WeightingRegime> regimes;
@@ -64,12 +64,11 @@ struct SweepAxes {
   std::vector<double> budgets;
   std::vector<double> memory_fractions;  // 0 = unbudgeted
   std::vector<uint32_t> threads;
-  std::vector<uint32_t> partitions;
 };
 
 /// One expanded run. `id` and `group` are stable across hosts and runs.
 struct SweepCell {
-  std::string id;     // "<group>/m<frac>/t<threads>/p<parts>"
+  std::string id;     // "<group>/m<frac>/t<threads>"
   std::string group;  // "<dataset>/<regime>/<model>/<rule>/b<budget>"
   std::string dataset;
   graph::WeightingRegime regime = graph::WeightingRegime::kWeightedCascade;
@@ -78,11 +77,10 @@ struct SweepCell {
   double budget = 0.0;           // unscaled axis value
   double memory_fraction = 0.0;  // 0 = unbudgeted
   uint32_t num_threads = 1;
-  uint32_t num_partitions = 1;
 };
 
 /// `--only` filter: comma-separated key=value constraints, ANDed. Keys:
-/// dataset, regime, model, rule, budget, mem, threads, partitions.
+/// dataset, regime, model, rule, budget, mem, threads.
 /// Repeating a key ORs its values ("dataset=a,dataset=b").
 class CellFilter {
  public:

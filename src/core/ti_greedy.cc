@@ -90,33 +90,15 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     return Status::InvalidArgument(
         "RunTiGreedy: budget_override must have one entry per advertiser");
   }
-  if (options.num_partitions == 0) {
+  if (options.num_partitions != 1) {
     return Status::InvalidArgument(
-        "RunTiGreedy: num_partitions must be >= 1");
+        "RunTiGreedy: num_partitions is reserved and must be 1");
   }
   Stopwatch watch;
 
   // One worker pool per invocation, shared by every parallel stage below
   // (declared before `ads` so the engines that borrow it die first).
   ThreadPool pool(options.num_threads);
-
-  // ---- Partition layer (num_partitions > 1). ----
-  // One PartitionedGraph per run, shared read-only by every advertiser's
-  // sampler (declared before `ads` so the samplers that borrow it die
-  // first). Partition count/policy/mmap never change the computed result
-  // — only where RR sets are drawn and the locality diagnostics.
-  std::unique_ptr<graph::PartitionedGraph> pgraph;
-  if (options.num_partitions > 1) {
-    graph::PartitionOptions po;
-    po.num_partitions = options.num_partitions;
-    po.policy = options.partition_policy;
-    po.use_mmap = options.partition_mmap;
-    po.mmap_directory = options.partition_mmap_directory;
-    auto built = graph::PartitionedGraph::Build(instance.graph(), po);
-    if (!built.ok()) return built.status();
-    pgraph = std::make_unique<graph::PartitionedGraph>(
-        std::move(built).value());
-  }
 
   // ---- Stage 0: store grouping + parallel per-advertiser init. ----
   std::vector<std::shared_ptr<rrset::RrStore>> store_of_ad(h);
@@ -169,7 +151,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.sizer = sizer;
         eo.sampler.num_threads = options.num_threads;
         eo.sampler.pool = &pool;
-        eo.sampler.partitions = pgraph.get();
         eo.excluded_nodes = options.excluded_nodes;
         ads[j] = std::make_unique<AdvertiserEngine>(j, instance,
                                                     store_of_ad[j], eo);
@@ -273,20 +254,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     st.kpt_lower_bound = sizer.OptLowerBound();
     st.pilot_sets = sizer.pilot_sets();
     st.pilot_converged = sizer.pilot_converged();
-    const rrset::PartitionSampleStats& ps = ad.partition_stats();
-    st.partition_sets_sampled = ps.sets_sampled;
-    st.partition_local_expansions = ps.local_expansions;
-    st.partition_frontier_crossings = ps.frontier_crossings;
-    st.partition_local_hit_rate = ps.LocalHitRate();
-    if (result.total_partition_sets_sampled.size() <
-        ps.sets_sampled.size()) {
-      result.total_partition_sets_sampled.resize(ps.sets_sampled.size(), 0);
-    }
-    for (size_t p = 0; p < ps.sets_sampled.size(); ++p) {
-      result.total_partition_sets_sampled[p] += ps.sets_sampled[p];
-    }
-    result.total_partition_local_expansions += ps.local_expansions;
-    result.total_partition_frontier_crossings += ps.frontier_crossings;
     result.total_revenue += ad.revenue();
     result.total_seeding_cost += ad.seeding_cost();
     result.total_seeds += st.seeds;
@@ -315,20 +282,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     } else {
       ++result.ads_growth_idle;
     }
-  }
-  result.num_partitions = options.num_partitions;
-  {
-    const uint64_t total_expansions = result.total_partition_local_expansions +
-                                      result.total_partition_frontier_crossings;
-    result.partition_local_hit_rate =
-        total_expansions == 0
-            ? 1.0
-            : static_cast<double>(result.total_partition_local_expansions) /
-                  static_cast<double>(total_expansions);
-  }
-  if (pgraph != nullptr) {
-    result.partition_graph_memory_bytes = pgraph->MemoryBytes();
-    result.partition_graph_mapped_bytes = pgraph->MappedBytes();
   }
   result.elapsed_seconds = watch.ElapsedSeconds();
   return result;

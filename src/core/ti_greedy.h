@@ -46,7 +46,6 @@
 
 #include "common/status.h"
 #include "core/problem.h"
-#include "graph/partitioned_graph.h"
 #include "rrset/sample_sizer.h"
 
 namespace isa::core {
@@ -167,26 +166,9 @@ struct TiOptions {
   /// SpillOptions::direct_io_min_bytes). Deterministic; never affects
   /// computed results. 0 = direct from the first spilled byte.
   uint64_t direct_io_min_bytes = 64ull << 20;
-  /// Graph partitions for RR sampling (the partition layer of
-  /// graph/partitioned_graph.h). 1 = monolithic sampling over the Graph's
-  /// own CSR (legacy path, byte for byte). With P > 1 one PartitionedGraph
-  /// (per-partition CompactCsr transposes) is built per run and every
-  /// advertiser's sampler dispatches each RR set to the partition owning
-  /// its root node (see rrset/parallel_sampler.h). Because a set's content
-  /// depends only on (seed, set id), a fixed seed yields a bit-identical
-  /// TiResult at ANY partition count — the knob only changes where sets
-  /// are drawn and the frontier-crossing diagnostics.
+  /// Reserved; must be 1. RR sets are always drawn over the Graph's own
+  /// CSR, and RunTiGreedy rejects any other value with InvalidArgument.
   uint32_t num_partitions = 1;
-  /// How partition cut points are chosen (pure function of the graph):
-  /// node-range = equal node counts, edge-cut = balanced in-arc counts.
-  graph::PartitionPolicy partition_policy =
-      graph::PartitionPolicy::kNodeRange;
-  /// Back the partitions' encoded adjacency with unlinked memory-mapped
-  /// temp files instead of heap buffers (see graph/compact_csr.h). Never
-  /// affects computed results, only the resident/mapped accounting split.
-  bool partition_mmap = false;
-  /// Directory for partition mmap backing files (empty = system temp).
-  std::string partition_mmap_directory;
   /// Safety cap on total selected seeds (0 = unlimited).
   uint64_t max_seeds = 0;
   /// Nodes that may not be selected as seeds for any ad (e.g. users who
@@ -265,17 +247,6 @@ struct TiAdStats {
   double kpt_lower_bound = 0.0;
   uint64_t pilot_sets = 0;
   bool pilot_converged = false;
-  /// Partitioned sampling (num_partitions > 1; all empty/0/1.0 on the
-  /// monolithic path). Sets this ad's sampler dispatched to each
-  /// partition (root ownership), reverse-BFS expansions that stayed in /
-  /// left the drawing instance's home partition, and the resulting local
-  /// hit rate. Deterministic for a fixed (seed, layout) at any thread
-  /// count — but layout-dependent, so excluded from the cross-partition-
-  /// count bit-identity invariant (like the spill I/O counters).
-  std::vector<uint64_t> partition_sets_sampled;
-  uint64_t partition_local_expansions = 0;
-  uint64_t partition_frontier_crossings = 0;
-  double partition_local_hit_rate = 1.0;
 };
 
 struct TiResult {
@@ -315,18 +286,6 @@ struct TiResult {
   uint32_t ads_growth_engaged = 0;
   uint32_t ads_growth_idle = 0;
   uint64_t total_theta_cap_hits = 0;
-  /// Partition layer (num_partitions == 1 on the monolithic path, with
-  /// empty/0/1.0 companions): sets dispatched to each partition summed
-  /// over ads, expansion locality totals, the aggregate local hit rate,
-  /// and the PartitionedGraph's own footprint (resident metadata+payload
-  /// vs mmap-backed payload bytes).
-  uint32_t num_partitions = 1;
-  std::vector<uint64_t> total_partition_sets_sampled;
-  uint64_t total_partition_local_expansions = 0;
-  uint64_t total_partition_frontier_crossings = 0;
-  double partition_local_hit_rate = 1.0;
-  uint64_t partition_graph_memory_bytes = 0;
-  uint64_t partition_graph_mapped_bytes = 0;
   double elapsed_seconds = 0.0;
 };
 

@@ -25,7 +25,6 @@ SweepAxes SmallAxes() {
   axes.budgets = {1'500};
   axes.memory_fractions = {0.0};
   axes.threads = {1, 2};
-  axes.partitions = {1};
   return axes;
 }
 
@@ -42,14 +41,13 @@ TEST(SweepExpandTest, CellCountIsTheCrossProduct) {
                   WeightingRegime::kTopicMix};
   axes.budgets = {1'500, 4'500};
   axes.memory_fractions = {0.0, 0.5};
-  axes.partitions = {1, 2};
   ExpandStats stats;
   auto cells = ExpandMatrix(axes, NoFilter(), &stats);
   ASSERT_TRUE(cells.ok()) << cells.status().ToString();
-  // 2 ds x 2 regimes x 1 model x 2 rules x 2 budgets x 2 mem x 2 thr x 2 p.
-  EXPECT_EQ(stats.total_combinations, 128u);
-  EXPECT_EQ(stats.cells, 128u);
-  EXPECT_EQ(cells.value().size(), 128u);
+  // 2 ds x 2 regimes x 1 model x 2 rules x 2 budgets x 2 mem x 2 threads.
+  EXPECT_EQ(stats.total_combinations, 64u);
+  EXPECT_EQ(stats.cells, 64u);
+  EXPECT_EQ(cells.value().size(), 64u);
   EXPECT_EQ(stats.skipped_invalid, 0u);
   EXPECT_EQ(stats.filtered_out, 0u);
 }
@@ -83,11 +81,11 @@ TEST(SweepExpandTest, IdsAreStableAndMemoryFractionZeroLeadsItsGroup) {
   ASSERT_EQ(cells.value().size(), 8u);
   // Golden ids: the contract with check_bench_regression.py and with any
   // committed BENCH_matrix.json — changing the scheme invalidates goldens.
-  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/carm/b1500/m0/t1/p1");
+  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/carm/b1500/m0/t1");
   EXPECT_EQ(cells.value()[0].group, "com-dblp/wc/ic/carm/b1500");
-  EXPECT_EQ(cells.value()[1].id, "com-dblp/wc/ic/carm/b1500/m0/t2/p1");
-  EXPECT_EQ(cells.value()[2].id, "com-dblp/wc/ic/carm/b1500/m0.25/t1/p1");
-  EXPECT_EQ(cells.value()[4].id, "com-dblp/wc/ic/csrm/b1500/m0/t1/p1");
+  EXPECT_EQ(cells.value()[1].id, "com-dblp/wc/ic/carm/b1500/m0/t2");
+  EXPECT_EQ(cells.value()[2].id, "com-dblp/wc/ic/carm/b1500/m0.25/t1");
+  EXPECT_EQ(cells.value()[4].id, "com-dblp/wc/ic/csrm/b1500/m0/t1");
   // Within each group the unbudgeted cells come first (the runner uses the
   // leading unbudgeted run as fraction anchor and determinism base), and
   // expansion never interleaves groups.
@@ -143,7 +141,7 @@ TEST(SweepFilterTest, SameKeyOrsDifferentKeysAnd) {
   cells = ExpandMatrix(axes, and_filter.value(), &stats);
   ASSERT_TRUE(cells.ok());
   ASSERT_EQ(stats.cells, 1u);
-  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/csrm/b1500/m0/t2/p1");
+  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/csrm/b1500/m0/t2");
 
   // Numeric axes match on their rendered form ("budget=1500").
   auto budget_filter = CellFilter::Parse("budget=1500,mem=0");
@@ -200,7 +198,7 @@ TEST(SweepRunTest, ThreadVariantsAreBitIdenticalAndReported) {
       MatrixReportToJson(report.value(), opt, "{}");
   EXPECT_NE(json.find("\"bench\": \"sweep_matrix\""), std::string::npos);
   EXPECT_NE(json.find("\"determinism_ok\": true"), std::string::npos);
-  EXPECT_NE(json.find("com-dblp/wc/ic/carm/b1500/m0/t2/p1"),
+  EXPECT_NE(json.find("com-dblp/wc/ic/carm/b1500/m0/t2"),
             std::string::npos);
 }
 

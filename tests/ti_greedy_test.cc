@@ -222,6 +222,20 @@ TEST(TiGreedyTest, RejectsBadEpsilon) {
   EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
 }
 
+// num_partitions is reserved: RR sets are always drawn over the Graph's own
+// CSR, so any value other than 1 is an argument error.
+TEST(TiGreedyTest, RejectsNumPartitionsOtherThanOne) {
+  auto f = MakeMedium(1, 10.0);
+  TiOptions opt = FastOptions();
+  for (uint32_t partitions : {0u, 2u}) {
+    SCOPED_TRACE(testing::Message() << partitions << " partitions");
+    opt.num_partitions = partitions;
+    auto res = RunTiGreedy(*f.instance, opt);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TiGreedyTest, TinyBudgetGetsFewSeedsButStaysFeasible) {
   auto f = MakeMedium(2, 3.0);
   auto res = RunTiCsrm(*f.instance, FastOptions());

@@ -71,15 +71,6 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
                         instead of O_DIRECT (the probe also
                         falls back automatically; equivalent to
                         ISA_DISABLE_O_DIRECT=1)
-  --partitions P        graph partitions for RR sampling (>= 1;
-                        1 = monolithic; results are identical at
-                        any partition count for a fixed seed)  [1]
-  --partition-policy S  node-range | edge-cut (cut-point rule;
-                        requires --partitions > 1)   [node-range]
-  --partition-mmap      back the partitions' compressed adjacency
-                        with memory-mapped temp files instead of
-                        heap buffers (requires --partitions > 1;
-                        never changes computed results)
   --failpoints SPEC     deterministic fault injection for chaos runs,
                         e.g. "spill.read.eio@every:1" (see
                         common/failpoint.h for the grammar; cold-read
@@ -106,8 +97,7 @@ int main(int argc, char** argv) {
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
        "threads", "share-samples", "async-growth", "growth-delay",
        "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "io-ring-depth",
-       "no-direct-io", "partitions", "partition-policy", "partition-mmap",
-       "failpoints", "seed", "seeds-csv", "validate", "help"});
+       "no-direct-io", "failpoints", "seed", "seeds-csv", "validate", "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -207,35 +197,6 @@ int main(int argc, char** argv) {
     return Fail(isa::Status::InvalidArgument(
         "--no-direct-io only applies with a memory budget; add "
         "--rr-memory-budget or drop --no-direct-io"));
-  }
-
-  // Partition-layer flag validation: the count must be >= 1, and the
-  // policy/mmap knobs without partitions would silently do nothing.
-  const int64_t partitions = flags.GetInt("partitions", 1).value_or(1);
-  if (partitions < 1) {
-    return Fail(isa::Status::InvalidArgument(
-        "--partitions must be >= 1 (1 = monolithic sampling)"));
-  }
-  isa::graph::PartitionPolicy partition_policy =
-      isa::graph::PartitionPolicy::kNodeRange;
-  if (flags.Has("partition-policy")) {
-    if (partitions == 1) {
-      return Fail(isa::Status::InvalidArgument(
-          "--partition-policy only applies with --partitions > 1; add "
-          "--partitions or drop --partition-policy"));
-    }
-    auto parsed = isa::graph::ParsePartitionPolicy(
-        flags.GetString("partition-policy", "node-range")
-            .value_or("node-range"));
-    if (!parsed.ok()) return Fail(parsed.status());
-    partition_policy = parsed.value();
-  }
-  const bool partition_mmap =
-      flags.GetBool("partition-mmap", false).value_or(false);
-  if (partition_mmap && partitions == 1) {
-    return Fail(isa::Status::InvalidArgument(
-        "--partition-mmap only applies with --partitions > 1; add "
-        "--partitions or drop --partition-mmap"));
   }
 
   // Deterministic fault injection: validate the whole spec up front (a
@@ -347,9 +308,6 @@ int main(int argc, char** argv) {
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
   options.io_ring_depth = static_cast<uint32_t>(io_ring_depth);
   options.direct_io = !flags.GetBool("no-direct-io", false).value_or(false);
-  options.num_partitions = static_cast<uint32_t>(partitions);
-  options.partition_policy = partition_policy;
-  options.partition_mmap = partition_mmap;
   const std::string prop = flags.GetString("model", "ic").value_or("ic");
   if (prop == "lt") {
     options.propagation = isa::rrset::DiffusionModel::kLinearThreshold;
@@ -444,27 +402,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)result.total_reads_in_flight_peak,
                 result.stores_direct_io,
                 (unsigned long long)result.total_direct_fallbacks);
-  }
-
-  if (result.num_partitions > 1) {
-    std::string per_partition;
-    for (size_t p = 0; p < result.total_partition_sets_sampled.size(); ++p) {
-      if (!per_partition.empty()) per_partition += " ";
-      per_partition +=
-          std::to_string(result.total_partition_sets_sampled[p]);
-    }
-    std::printf("partition layer: %u partitions (%s%s), graph %s resident"
-                " + %s mapped; sets per partition [%s]; local hit rate "
-                "%.3f (%llu local, %llu crossings)\n",
-                result.num_partitions,
-                isa::graph::PartitionPolicyName(partition_policy),
-                partition_mmap ? ", mmap" : "",
-                isa::HumanBytes(result.partition_graph_memory_bytes).c_str(),
-                isa::HumanBytes(result.partition_graph_mapped_bytes).c_str(),
-                per_partition.c_str(), result.partition_local_hit_rate,
-                (unsigned long long)result.total_partition_local_expansions,
-                (unsigned long long)
-                    result.total_partition_frontier_crossings);
   }
 
   const std::string csv =
