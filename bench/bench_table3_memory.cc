@@ -19,28 +19,18 @@
 // the bench EXITS NON-ZERO on any mismatch (CI runs it as a gate, like the
 // fig5 determinism gate) or when the tight 25% row skipped no chunks
 // (chunks_skipped == 0 would mean the per-chunk envelope/Bloom filters
-// stopped working). A second 25% row forces the sync backend + buffered
-// reads, pinning the deep-queue/O_DIRECT pipeline to the serial reference
-// byte for byte under the same gate. The resident-vs-spill rows land in
-// BENCH_table3.json under "budget_rows" with the chunks_read /
-// chunks_skipped split, the resolved I/O backend + direct/buffered mode,
-// the queue-depth high-water mark and the run's wall-clock.
+// stopped working). The resident-vs-spill rows land in BENCH_table3.json
+// under "budget_rows" with the chunks_read / chunks_skipped split, the
+// queue-depth high-water mark and the run's wall-clock.
 
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "common/async_io.h"
 #include "common/failpoint.h"
 #include "common/table_writer.h"
 
 namespace {
-
-// The backend every spill scan in this process resolves to (kAuto order:
-// io_uring > pool-pread; the bench always passes a pool-capable run).
-const char* ResolvedBackend() {
-  return isa::IoUringAvailable() ? "io_uring" : "pool-pread";
-}
 
 // The computed outcome only — memory/spill stats legitimately differ
 // across budgets.
@@ -188,22 +178,14 @@ int main() {
       store_bytes = std::max(store_bytes, st.rr_memory_bytes);
     }
 
-    isa::TableWriter sweep({"budget/store", "threads", "I/O", "resident final",
+    isa::TableWriter sweep({"budget/store", "threads", "resident final",
                             "resident peak", "spilled", "chunks", "scans",
                             "read", "skipped", "peak q", "seconds", "match"});
     auto add_row = [&](uint64_t budget, uint32_t threads,
-                       const std::string& io_backend,
                        const isa::core::TiResult& r, bool match) {
-      // Per-row I/O provenance: resolved backend plus whether the spill
-      // files actually read through O_DIRECT (the probe may fall back).
-      const bool direct = r.stores_direct_io > 0;
-      const std::string io_label =
-          budget == 0 ? std::string("-")
-                      : io_backend + (direct ? "+direct" : "+buffered");
       sweep.AddCell(budget == 0 ? std::string("unbudgeted")
                                 : isa::HumanBytes(budget));
       sweep.AddCell(uint64_t{threads});
-      sweep.AddCell(io_label);
       sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
       sweep.AddCell(budget == 0 ? std::string("-")
                                 : isa::HumanBytes(SumResidentPeak(r)));
@@ -220,10 +202,7 @@ int main() {
           isa::bench::JsonObject()
               .Add("budget_bytes", budget)
               .Add("threads", uint64_t{threads})
-              .Add("io_backend", io_backend)
-              .Add("direct_io", direct)
               .Add("reads_in_flight_peak", r.total_reads_in_flight_peak)
-              .Add("direct_fallbacks", r.total_direct_fallbacks)
               .Add("resident_final_bytes", r.total_rr_memory_bytes)
               .Add("resident_peak_bytes", SumResidentPeak(r))
               .Add("spilled_bytes", r.total_spilled_bytes)
@@ -236,48 +215,34 @@ int main() {
               .Add("matches_unbudgeted", match)
               .str());
     };
-    add_row(0, ti.num_threads, "none", reference.value(), true);
+    add_row(0, ti.num_threads, reference.value(), true);
 
     struct Run {
       double fraction;
       uint32_t threads;
-      bool sync_buffered;  // force the sync backend + buffered reads
     };
     // The tight 25% budget doubles as the CI gate's "tight budget" row;
-    // the 1-thread run re-proves budget determinism is thread-independent;
-    // the sync+buffered 25% run pins the deep-queue/O_DIRECT pipeline to
-    // the serial reference byte for byte (same gate: any divergence exits
-    // non-zero).
-    for (const Run run : {Run{0.5, 0, false}, Run{0.5, 1, false},
-                          Run{0.25, 0, false}, Run{0.25, 0, true}}) {
+    // the 1-thread run re-proves budget determinism is thread-independent.
+    for (const Run run : {Run{0.5, 0}, Run{0.5, 1}, Run{0.25, 0}}) {
       auto budgeted_ti = ti;
       budgeted_ti.rr_memory_budget_bytes =
           static_cast<uint64_t>(store_bytes * run.fraction);
       budgeted_ti.num_threads = run.threads;
-      if (run.sync_buffered) {
-        isa::SetAsyncIoBackendForTest(isa::AsyncIoBackend::kSync);
-        budgeted_ti.direct_io = false;
-      }
       auto budgeted = isa::core::RunTiCsrm(*setup.instance, budgeted_ti);
-      if (run.sync_buffered) {
-        isa::SetAsyncIoBackendForTest(isa::AsyncIoBackend::kAuto);
-      }
       isa::bench::Check(budgeted.status(), "TI-CSRM budgeted");
       const bool match =
           SameComputedResult(reference.value(), budgeted.value());
       if (!match) budget_mismatch = true;
       // The tight-budget row must show the chunk filters earning their
       // keep: plenty spilled, and at least one chunk skipped without I/O.
-      if (run.fraction == 0.25 && !run.sync_buffered &&
+      if (run.fraction == 0.25 &&
           budgeted.value().total_chunks_skipped == 0) {
         filters_dead = true;
       }
       add_row(budgeted_ti.rr_memory_budget_bytes, run.threads,
-              run.sync_buffered ? "sync" : ResolvedBackend(),
               budgeted.value(), match);
-      std::fprintf(stderr, "  [budget %.0f%% threads=%u%s] done\n",
-                   run.fraction * 100, run.threads,
-                   run.sync_buffered ? " sync+buffered" : "");
+      std::fprintf(stderr, "  [budget %.0f%% threads=%u] done\n",
+                   run.fraction * 100, run.threads);
     }
 
     // Faulted run: the tight 25% budget again, with a permanent EIO
@@ -301,8 +266,6 @@ int main() {
       sweep.AddCell(isa::HumanBytes(faulted_ti.rr_memory_budget_bytes) +
                     " +EIO");
       sweep.AddCell(uint64_t{faulted_ti.num_threads});
-      sweep.AddCell(std::string(ResolvedBackend()) +
-                    (r.stores_direct_io > 0 ? "+direct" : "+buffered"));
       sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
       sweep.AddCell(isa::HumanBytes(SumResidentPeak(r)));
       sweep.AddCell(isa::HumanBytes(r.total_spilled_bytes));
@@ -318,8 +281,6 @@ int main() {
           isa::bench::JsonObject()
               .Add("budget_bytes", faulted_ti.rr_memory_budget_bytes)
               .Add("threads", uint64_t{faulted_ti.num_threads})
-              .Add("io_backend", std::string(ResolvedBackend()))
-              .Add("direct_io", r.stores_direct_io > 0)
               .Add("failpoints", std::string("spill.read.eio@every:1"))
               .Add("degradation_events", r.total_degradation_events)
               .Add("recovered_sets", r.total_recovered_sets)

@@ -3,26 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 
-#ifdef ISA_HAVE_IO_URING
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
-
 namespace isa {
 
 namespace {
-
-std::atomic<AsyncIoBackend> g_backend_override{AsyncIoBackend::kAuto};
 
 // pread until `len` bytes or a terminal condition; Wait's error contract.
 int PreadFull(int fd, uint64_t offset, char* buf, size_t len) {
@@ -42,330 +30,41 @@ int PreadFull(int fd, uint64_t offset, char* buf, size_t len) {
 
 }  // namespace
 
-void SetAsyncIoBackendForTest(AsyncIoBackend backend) {
-  g_backend_override.store(backend, std::memory_order_relaxed);
-}
-
-#ifdef ISA_HAVE_IO_URING
-
-bool IoUringCompiledIn() { return true; }
-
-// Raw-syscall ring sized to the reader's depth (rounded up to a power of
-// two), mmapped SQ/CQ rings + SQE array. The container has no liburing, so
-// the setup/submit/complete protocol is spelled out here; see
-// Documentation/io_uring in the kernel tree for the memory-ordering rules
-// (release on tail publishes, acquire on head/tail consumes).
-struct AsyncFileReader::Uring {
-  int ring_fd = -1;
-  io_uring_params params{};
-  void* sq_ptr = nullptr;
-  size_t sq_map_len = 0;
-  void* cq_ptr = nullptr;
-  size_t cq_map_len = 0;
-  io_uring_sqe* sqes = nullptr;
-  size_t sqes_map_len = 0;
-
-  unsigned* sq_tail = nullptr;
-  unsigned* sq_mask = nullptr;
-  unsigned* sq_array = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned* cq_mask = nullptr;
-  io_uring_cqe* cqes = nullptr;
-
-  ~Uring() {
-    if (sqes != nullptr) ::munmap(sqes, sqes_map_len);
-    if (cq_ptr != nullptr && cq_ptr != sq_ptr) ::munmap(cq_ptr, cq_map_len);
-    if (sq_ptr != nullptr) ::munmap(sq_ptr, sq_map_len);
-    if (ring_fd >= 0) ::close(ring_fd);
-  }
-
-  static std::unique_ptr<Uring> Create(uint32_t entries) {
-    auto u = std::make_unique<Uring>();
-    u->ring_fd = static_cast<int>(
-        ::syscall(__NR_io_uring_setup, std::bit_ceil(entries), &u->params));
-    if (u->ring_fd < 0) return nullptr;
-
-    const io_uring_params& p = u->params;
-    u->sq_map_len = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    u->cq_map_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      u->sq_map_len = u->cq_map_len = std::max(u->sq_map_len, u->cq_map_len);
-    }
-    u->sq_ptr = ::mmap(nullptr, u->sq_map_len, PROT_READ | PROT_WRITE,
-                       MAP_SHARED | MAP_POPULATE, u->ring_fd,
-                       IORING_OFF_SQ_RING);
-    if (u->sq_ptr == MAP_FAILED) {
-      u->sq_ptr = nullptr;
-      return nullptr;
-    }
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      u->cq_ptr = u->sq_ptr;
-    } else {
-      u->cq_ptr = ::mmap(nullptr, u->cq_map_len, PROT_READ | PROT_WRITE,
-                         MAP_SHARED | MAP_POPULATE, u->ring_fd,
-                         IORING_OFF_CQ_RING);
-      if (u->cq_ptr == MAP_FAILED) {
-        u->cq_ptr = nullptr;
-        return nullptr;
-      }
-    }
-    u->sqes_map_len = p.sq_entries * sizeof(io_uring_sqe);
-    u->sqes = static_cast<io_uring_sqe*>(
-        ::mmap(nullptr, u->sqes_map_len, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, u->ring_fd, IORING_OFF_SQES));
-    if (u->sqes == MAP_FAILED) {
-      u->sqes = nullptr;
-      return nullptr;
-    }
-
-    char* sq = static_cast<char*>(u->sq_ptr);
-    u->sq_tail = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    u->sq_mask = reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    u->sq_array = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    char* cq = static_cast<char*>(u->cq_ptr);
-    u->cq_head = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    u->cq_tail = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    u->cq_mask = reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    u->cqes = reinterpret_cast<io_uring_cqe*>(cq + p.cq_off.cqes);
-    return u;
-  }
-};
-
-namespace {
-
-bool ProbeIoUring() {
-  if (std::getenv("ISA_DISABLE_IO_URING") != nullptr) return false;
-  io_uring_params params{};
-  const int fd =
-      static_cast<int>(::syscall(__NR_io_uring_setup, 2u, &params));
-  if (fd < 0) return false;
-  ::close(fd);
-  return true;
-}
-
-}  // namespace
-
-bool IoUringAvailable() {
-  static const bool available = ProbeIoUring();
-  return available;
-}
-
-void AsyncFileReader::UringSubmit(uint64_t first_seq, uint32_t count) {
-  Uring& u = *ring_;
-  if (uring_degraded_) {
-    // The SQ ring holds orphaned entries from an earlier failed submit;
-    // another enter could hand them to the kernel against buffers that no
-    // longer exist. Serve everything synchronously from here on.
-    for (uint32_t i = 0; i < count; ++i) {
-      SlotOf(first_seq + i).state = SlotState::kSyncAtWait;
-    }
-    return;
-  }
-  unsigned tail = *u.sq_tail;  // single producer: plain read is safe
-  for (uint32_t i = 0; i < count; ++i) {
-    Slot& s = SlotOf(first_seq + i);
-    const unsigned idx = tail & *u.sq_mask;
-    io_uring_sqe& sqe = u.sqes[idx];
-    std::memset(&sqe, 0, sizeof(sqe));
-    sqe.opcode = IORING_OP_READ;
-    sqe.fd = s.fd;
-    sqe.addr = reinterpret_cast<uint64_t>(s.buf);
-    sqe.len = static_cast<uint32_t>(s.len);
-    sqe.off = s.offset;
-    sqe.user_data = s.seq;
-    u.sq_array[idx] = idx;
-    ++tail;
-    s.state = SlotState::kQueued;
-  }
-  __atomic_store_n(u.sq_tail, tail, __ATOMIC_RELEASE);
-  // One io_uring_enter for the whole batch. A partial acceptance loops
-  // until the kernel took every SQE; a hard error degrades the unaccepted
-  // suffix (and every future submission) to synchronous completion.
-  uint32_t submitted = 0;
-  while (submitted < count) {
-    const long ret = ::syscall(__NR_io_uring_enter, u.ring_fd,
-                               count - submitted, 0u, 0u, nullptr, 0u);
-    if (ret < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ret == 0) break;
-    submitted += static_cast<uint32_t>(ret);
-  }
-  if (submitted < count) {
-    uring_degraded_ = true;
-    ISA_LOG("AsyncFileReader: io_uring batch submission failed after %u/%u "
-            "entries (%s); degrading to synchronous reads",
-            submitted, count, std::strerror(errno));
-    for (uint32_t i = submitted; i < count; ++i) {
-      SlotOf(first_seq + i).state = SlotState::kSyncAtWait;
-    }
-  }
-}
-
-int AsyncFileReader::UringAwait(Slot& s) {
-  Uring& u = *ring_;
-  while (s.state == SlotState::kQueued) {
-    // Drain every available CQE — completions may belong to younger slots
-    // (out-of-order completion); each is recorded in its own slot and
-    // picked up by that slot's Wait.
-    const unsigned head = *u.cq_head;  // single consumer
-    if (__atomic_load_n(u.cq_tail, __ATOMIC_ACQUIRE) != head) {
-      const io_uring_cqe& cqe = u.cqes[head & *u.cq_mask];
-      Slot& target = SlotOf(cqe.user_data);
-      const int32_t res = cqe.res;
-      __atomic_store_n(u.cq_head, head + 1, __ATOMIC_RELEASE);
-      if (target.seq == cqe.user_data &&
-          target.state == SlotState::kQueued) {
-        ApplyCompletion(target, res);
-      }
-      continue;
-    }
-    const long ret = ::syscall(__NR_io_uring_enter, u.ring_fd, 0u, 1u,
-                               IORING_ENTER_GETEVENTS, nullptr, 0u);
-    if (ret < 0 && errno != EINTR && errno != EAGAIN) return errno;
-  }
-  if (s.state == SlotState::kDone) return s.result;
-  return SyncRead(s);  // kFinishTail or kSyncAtWait (EINTR/EAGAIN redo)
-}
-
-#else  // !ISA_HAVE_IO_URING
-
-struct AsyncFileReader::Uring {
-  static std::unique_ptr<Uring> Create(uint32_t) { return nullptr; }
-};
-
-bool IoUringCompiledIn() { return false; }
-bool IoUringAvailable() { return false; }
-void AsyncFileReader::UringSubmit(uint64_t first_seq, uint32_t count) {
-  for (uint32_t i = 0; i < count; ++i) {
-    SlotOf(first_seq + i).state = SlotState::kSyncAtWait;
-  }
-}
-int AsyncFileReader::UringAwait(Slot& s) { return SyncRead(s); }
-
-#endif  // ISA_HAVE_IO_URING
-
-AsyncFileReader::AsyncFileReader(ThreadPool* pool, AsyncIoBackend backend,
-                                 uint32_t depth)
-    : pool_(pool), depth_(std::clamp(depth, 1u, kMaxDepth)) {
-  const AsyncIoBackend forced =
-      g_backend_override.load(std::memory_order_relaxed);
-  if (forced != AsyncIoBackend::kAuto) backend = forced;
-  if (backend == AsyncIoBackend::kAuto) {
-    backend = IoUringAvailable() ? AsyncIoBackend::kIoUring
-              : pool_ != nullptr ? AsyncIoBackend::kPoolPread
-                                 : AsyncIoBackend::kSync;
-  }
-  if (backend == AsyncIoBackend::kIoUring && IoUringAvailable()) {
-    ring_ = Uring::Create(depth_);
-  }
-  if (ring_ != nullptr) {
-    backend_ = AsyncIoBackend::kIoUring;
-  } else if (backend != AsyncIoBackend::kSync && pool_ != nullptr) {
-    backend_ = AsyncIoBackend::kPoolPread;
-  } else {
-    backend_ = AsyncIoBackend::kSync;
-  }
-  slots_.resize(depth_);
-  if (backend_ == AsyncIoBackend::kPoolPread) tasks_.resize(depth_);
-}
+AsyncFileReader::AsyncFileReader(ThreadPool* pool, uint32_t depth)
+    : pool_(pool),
+      depth_(std::clamp(depth, 1u, kMaxDepth)),
+      slots_(depth_),
+      tasks_(pool_ != nullptr ? depth_ : 0) {}
 
 AsyncFileReader::~AsyncFileReader() {
-  // The kernel (or pool workers) may still be writing into submitted
-  // buffers; drain before they die. Errors are irrelevant on this path.
+  // Pool workers may still be writing into submitted buffers; drain
+  // before they die. Errors are irrelevant on this path.
   while (in_flight()) static_cast<void>(Wait());
-}
-
-const char* AsyncFileReader::backend_name() const {
-  switch (backend_) {
-    case AsyncIoBackend::kIoUring:
-      return "io_uring";
-    case AsyncIoBackend::kPoolPread:
-      return "pool-pread";
-    default:
-      return "sync";
-  }
-}
-
-int AsyncFileReader::SyncRead(Slot& s) {
-  return PreadFull(s.fd, s.offset, s.buf, s.len);
-}
-
-void AsyncFileReader::ApplyCompletion(Slot& s, int32_t res) {
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN) {
-      // Nothing transferred; redo the whole request synchronously at Wait.
-      s.state = SlotState::kSyncAtWait;
-    } else {
-      s.state = SlotState::kDone;
-      s.result = -res;
-    }
-    return;
-  }
-  if (res == 0 && s.len > 0) {
-    s.state = SlotState::kDone;
-    s.result = -1;  // EOF before the requested length
-    return;
-  }
-  if (static_cast<size_t>(res) >= s.len) {
-    s.state = SlotState::kDone;
-    s.result = 0;
-    return;
-  }
-  // Short read: Wait finishes the remainder synchronously (same EOF/errno
-  // contract either way).
-  s.buf += res;
-  s.offset += static_cast<uint64_t>(res);
-  s.len -= static_cast<size_t>(res);
-  s.state = SlotState::kFinishTail;
 }
 
 void AsyncFileReader::SubmitBatch(std::span<const AsyncReadRequest> reqs) {
   if (reqs.empty()) return;
   ISA_CHECK(reqs.size() <= depth_ - pending());
-  const uint64_t first_seq = tail_seq_;
-  for (const AsyncReadRequest& r : reqs) {
-    Slot& s = SlotOf(tail_seq_);
-    s.fd = r.fd;
-    s.offset = r.offset;
-    s.buf = static_cast<char*>(r.buf);
-    s.len = r.len;
-    s.result = 0;
-    s.seq = tail_seq_;
-    s.state = SlotState::kSyncAtWait;
-    ++tail_seq_;
-  }
-  const uint32_t count = static_cast<uint32_t>(reqs.size());
-  // "async.submit": the backend never sees this batch and every request is
-  // served by a synchronous pread at its Wait — the exact path a real
-  // failed submission takes.
+  // "async.submit": the pool never sees this batch and every request is
+  // served by an inline pread at its Wait — the path a failed submission
+  // takes.
   const bool submit_faulted = FailPointHit("async.submit") != 0;
-  if (!submit_faulted) {
-    switch (backend_) {
-      case AsyncIoBackend::kIoUring:
-        UringSubmit(first_seq, count);
-        break;
-      case AsyncIoBackend::kPoolPread:
-        for (uint32_t i = 0; i < count; ++i) {
-          const uint64_t seq = first_seq + i;
-          Slot& s = SlotOf(seq);
-          s.state = SlotState::kQueued;
-          tasks_[seq % depth_] = pool_->Launch(1, [&s](uint64_t) {
-            s.result = PreadFull(s.fd, s.offset, s.buf, s.len);
-          });
-        }
-        break;
-      default:
-        break;  // sync: every slot stays kSyncAtWait
+  const bool launch = pool_ != nullptr && !submit_faulted;
+  for (const AsyncReadRequest& r : reqs) {
+    const size_t idx = SlotIndex(tail_seq_++);
+    Slot& s = slots_[idx];
+    s = Slot{r.fd, r.offset, static_cast<char*>(r.buf), r.len, launch, 0};
+    if (launch) {
+      tasks_[idx] = pool_->Launch(1, [&s](uint64_t) {
+        s.result = PreadFull(s.fd, s.offset, s.buf, s.len);
+      });
     }
   }
-  uint64_t async_in_flight = 0;
+  uint64_t launched = 0;
   for (uint64_t seq = head_seq_; seq < tail_seq_; ++seq) {
-    if (SlotOf(seq).state != SlotState::kSyncAtWait) ++async_in_flight;
+    if (slots_[SlotIndex(seq)].launched) ++launched;
   }
-  peak_in_flight_ = std::max(peak_in_flight_, async_in_flight);
+  peak_in_flight_ = std::max(peak_in_flight_, launched);
 }
 
 void AsyncFileReader::Start(int fd, uint64_t offset, void* buf, size_t len) {
@@ -375,25 +74,15 @@ void AsyncFileReader::Start(int fd, uint64_t offset, void* buf, size_t len) {
 
 int AsyncFileReader::Wait() {
   ISA_CHECK(in_flight());
-  Slot& s = SlotOf(head_seq_);
+  const size_t idx = SlotIndex(head_seq_++);
+  Slot& s = slots_[idx];
   int result;
-  switch (s.state) {
-    case SlotState::kQueued:
-      if (backend_ == AsyncIoBackend::kPoolPread) {
-        tasks_[head_seq_ % depth_].Wait();  // publishes result + the bytes
-        result = s.result;
-      } else {
-        result = UringAwait(s);
-      }
-      break;
-    case SlotState::kDone:
-      result = s.result;
-      break;
-    default:  // kSyncAtWait, kFinishTail
-      result = SyncRead(s);
-      break;
+  if (s.launched) {
+    tasks_[idx].Wait();  // publishes result + the bytes
+    result = s.result;
+  } else {
+    result = PreadFull(s.fd, s.offset, s.buf, s.len);
   }
-  ++head_seq_;
   if (const int e = FailPointHit("async.complete")) result = e;
   return result;
 }

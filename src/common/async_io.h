@@ -3,70 +3,36 @@
 //
 // The pipeline keeps up to `depth` reads in flight (default 16): while
 // chunk k is being applied, the next up-to-depth chunks' bytes stream into
-// a ring of buffers. SubmitBatch enqueues a whole filtered chunk list in
-// one submission call; Wait drains completions strictly in submission
-// order (FIFO), so consumers keep their deterministic ascending apply
-// sequence even when the backend completes reads out of order. Three
-// backends provide the overlap, best-first:
+// a ring of buffers. SubmitBatch enqueues a whole filtered chunk list at
+// once; Wait drains reads strictly in submission order (FIFO), so
+// consumers keep their deterministic ascending apply sequence whatever
+// order the reads finish in. There is one read path:
 //
-//   io_uring    — a depth-entry ring per reader, raw syscalls (no liburing
-//                 dependency); compiled in when <linux/io_uring.h> exists
-//                 (ISA_HAVE_IO_URING) and used when a runtime probe shows
-//                 the kernel supports it and ISA_DISABLE_IO_URING is unset.
-//                 A batch is one io_uring_enter; completions are harvested
-//                 out of order (CQE user_data carries the submission
-//                 sequence number) and re-ordered by the FIFO Wait.
-//   pool pread  — each read runs as its own ThreadPool::Launch task, so up
-//                 to depth preads progress concurrently; the per-task Wait
-//                 barrier publishes each buffer to the consumer in order.
-//   sync pread  — no overlap; submission records the request, Wait performs
-//                 it inline, strictly serially. The fallback of last resort
-//                 and the reference behavior: all backends read the same
-//                 bytes, so results are bit-identical whichever one serves
-//                 a run.
+//   - With a pool, each read runs as its own ThreadPool::Launch pread task,
+//     so up to depth preads progress concurrently; the per-task Wait
+//     barrier publishes each buffer to the consumer in order.
+//   - With no pool, or for a batch whose submission faulted, the read is a
+//     plain pread performed inline at its Wait — no overlap, same bytes.
+//
+// Either way the same bytes arrive, so results are bit-identical at any
+// queue depth, pool or no pool.
 //
 // Error model: Wait returns 0 on success, a positive errno on failure, or
 // -1 for EOF before the requested length. A short read that is not EOF is
-// completed synchronously inside Wait. Callers (the spill layer) turn
-// nonzero into SpillIoError; this class never throws from the I/O path.
+// continued until done. Callers (the spill layer) turn nonzero into
+// SpillIoError; this class never throws from the I/O path.
 
 #ifndef ISA_COMMON_ASYNC_IO_H_
 #define ISA_COMMON_ASYNC_IO_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
 
 namespace isa {
-
-/// Backend selection. kAuto resolves to the best available backend at
-/// construction (io_uring > pool pread > sync; a reader constructed
-/// without a pool resolves kPoolPread down to kSync).
-enum class AsyncIoBackend {
-  kAuto,
-  kIoUring,
-  kPoolPread,
-  kSync,
-};
-
-/// True when io_uring support is compiled in AND a runtime probe (cached
-/// after the first call) succeeds AND ISA_DISABLE_IO_URING is not set in
-/// the environment. When false, kAuto and kIoUring fall back to the pool /
-/// sync backends.
-bool IoUringAvailable();
-
-/// True when the translation unit was built with ISA_HAVE_IO_URING
-/// (CMake feature detect) — availability before the runtime probe.
-bool IoUringCompiledIn();
-
-/// Process-wide backend override for tests (kAuto restores the default).
-/// Applies to readers constructed AFTER the call; not thread-safe against
-/// concurrent reader construction.
-void SetAsyncIoBackendForTest(AsyncIoBackend backend);
 
 /// One positional read: exactly `len` bytes at `offset` from `fd` into
 /// `buf`. `buf` and `fd` must stay valid until the matching Wait returns.
@@ -78,40 +44,34 @@ struct AsyncReadRequest {
 };
 
 /// Deep-queue reader (see file comment). Not thread-safe: one owner
-/// submits and waits; the pool backend's internal tasks are synchronized
-/// by TaskGroup::Wait's barrier, the io_uring backend by the ring's
-/// release/acquire protocol.
+/// submits and waits; the pool tasks are synchronized by TaskGroup::Wait's
+/// barrier.
 class AsyncFileReader {
  public:
   static constexpr uint32_t kDefaultDepth = 16;
   static constexpr uint32_t kMaxDepth = 128;
 
-  /// `pool` may be null (kPoolPread then degrades to kSync). `depth` is
-  /// the maximum number of outstanding reads (clamped to [1, kMaxDepth]);
-  /// the io_uring backend sizes its ring to hold it.
-  explicit AsyncFileReader(ThreadPool* pool,
-                           AsyncIoBackend backend = AsyncIoBackend::kAuto,
-                           uint32_t depth = kDefaultDepth);
+  /// `pool` may be null (every read is then inline at its Wait). `depth`
+  /// is the maximum number of outstanding reads (clamped to
+  /// [1, kMaxDepth]).
+  explicit AsyncFileReader(ThreadPool* pool, uint32_t depth = kDefaultDepth);
   ~AsyncFileReader();
   AsyncFileReader(const AsyncFileReader&) = delete;
   AsyncFileReader& operator=(const AsyncFileReader&) = delete;
 
-  /// Enqueues every request in `reqs` — at most depth() - pending() at a
-  /// time — in one backend submission (a single io_uring_enter on the
-  /// io_uring backend). Never fails: a failed or faulted submission
-  /// ("async.submit" failpoint, ring exhaustion) downgrades the affected
-  /// requests to synchronous completion inside their Wait — the exact
-  /// path a real failed submission takes, and the first rung of the
-  /// cold-tier recovery ladder.
+  /// Enqueues every request in `reqs` (at most depth() - pending()). Never
+  /// fails: a faulted submission ("async.submit" failpoint) downgrades the
+  /// batch to inline preads at each Wait — the first rung of the cold-tier
+  /// recovery ladder.
   void SubmitBatch(std::span<const AsyncReadRequest> reqs);
 
   /// Single-request convenience wrapper over SubmitBatch.
   void Start(int fd, uint64_t offset, void* buf, size_t len);
 
   /// Blocks until the OLDEST outstanding read finished (FIFO — results
-  /// come back in submission order regardless of backend completion
-  /// order). Returns 0 on success, a positive errno, or -1 for EOF before
-  /// the requested length.
+  /// come back in submission order regardless of completion order).
+  /// Returns 0 on success, a positive errno, or -1 for EOF before the
+  /// requested length.
   int Wait();
 
   /// Outstanding reads (submitted, not yet Wait()ed).
@@ -119,57 +79,26 @@ class AsyncFileReader {
   bool in_flight() const { return pending() > 0; }
   uint32_t depth() const { return depth_; }
 
-  /// High-water mark of genuinely asynchronous reads in flight (slots the
-  /// backend accepted — synchronous-fallback slots excluded). 0 on the
-  /// sync backend.
+  /// High-water mark of reads running on the pool at once (inline reads
+  /// excluded). 0 without a pool.
   uint64_t reads_in_flight_peak() const { return peak_in_flight_; }
 
-  /// Resolved backend, for diagnostics/tests: "io_uring", "pool-pread" or
-  /// "sync".
-  const char* backend_name() const;
-
  private:
-  struct Uring;  // raw-syscall ring state; null unless io_uring is active
-
-  enum class SlotState : uint8_t {
-    kSyncAtWait,  // sync backend, failed/faulted submission: Wait preads
-    kQueued,      // accepted by the async backend; completion not seen yet
-    kDone,        // completion harvested; result_ is final
-    kFinishTail,  // partial bytes landed; Wait preads the remainder
-  };
   struct Slot {
     int fd = -1;
     uint64_t offset = 0;
     char* buf = nullptr;
     size_t len = 0;
-    SlotState state = SlotState::kSyncAtWait;
+    bool launched = false;  // a pool task reads it; else inline at Wait
     int result = 0;
-    uint64_t seq = 0;
   };
 
-  Slot& SlotOf(uint64_t seq) { return slots_[seq % depth_]; }
-  // pread-until-done of the slot's (remaining) request; Wait's contract.
-  static int SyncRead(Slot& s);
-  // Applies one completion code (io_uring CQE res convention: negative
-  // errno, 0 = EOF, positive = bytes) to its slot.
-  static void ApplyCompletion(Slot& s, int32_t res);
-  // Fills and submits `count` SQEs for slots [first_seq, first_seq+count);
-  // marks each slot kQueued or kSyncAtWait as the kernel accepts it.
-  void UringSubmit(uint64_t first_seq, uint32_t count);
-  // Harvests CQEs until `s` leaves kQueued; returns its Wait result.
-  int UringAwait(Slot& s);
+  size_t SlotIndex(uint64_t seq) const { return seq % depth_; }
 
   ThreadPool* pool_;
-  AsyncIoBackend backend_ = AsyncIoBackend::kSync;
-  uint32_t depth_ = kDefaultDepth;
-  std::unique_ptr<Uring> ring_;
-  // After a hard submission failure the ring may hold orphaned SQEs that
-  // must never reach the kernel; all later submissions downgrade to
-  // synchronous completion (queued reads still drain normally).
-  bool uring_degraded_ = false;
-
-  std::vector<Slot> slots_;                    // ring, indexed by seq % depth
-  std::vector<ThreadPool::TaskGroup> tasks_;   // pool backend, per slot
+  uint32_t depth_;
+  std::vector<Slot> slots_;                   // ring, indexed by seq % depth
+  std::vector<ThreadPool::TaskGroup> tasks_;  // per slot, when launched
   uint64_t head_seq_ = 0;  // next sequence Wait returns
   uint64_t tail_seq_ = 0;  // next sequence SubmitBatch assigns
   uint64_t peak_in_flight_ = 0;

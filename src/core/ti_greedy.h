@@ -47,6 +47,7 @@
 #include "common/status.h"
 #include "core/problem.h"
 #include "rrset/sample_sizer.h"
+#include "rrset/tiered_store.h"
 
 namespace isa::core {
 
@@ -155,17 +156,9 @@ struct TiOptions {
   /// degrades to the old one-outstanding pipeline. Never affects computed
   /// results — completions are applied in submission order everywhere.
   uint32_t io_ring_depth = 16;
-  /// O_DIRECT for cold-chunk reads (probed per spill file, transparent
-  /// buffered fallback; ISA_DISABLE_O_DIRECT=1 forces the fallback).
-  /// Never affects computed results, only page-cache behavior.
-  bool direct_io = true;
-  /// Spill size (bytes on disk) a store must reach before its cold scans
-  /// switch from buffered to O_DIRECT reads — small spills are served
-  /// straight from the page cache their own writes populated, which beats
-  /// flushing them out just to re-read from storage (see
-  /// SpillOptions::direct_io_min_bytes). Deterministic; never affects
-  /// computed results. 0 = direct from the first spilled byte.
-  uint64_t direct_io_min_bytes = 64ull << 20;
+  /// rmbench compatibility only; no value (see rrset::RmbenchCompat).
+  [[no_unique_address]] rrset::RmbenchCompat direct_io;
+  [[no_unique_address]] rrset::RmbenchCompat direct_io_min_bytes;
   /// Reserved; must be 1. RR sets are always drawn over the Graph's own
   /// CSR, and RunTiGreedy rejects any other value with InvalidArgument.
   uint32_t num_partitions = 1;
@@ -211,13 +204,10 @@ struct TiAdStats {
   uint64_t chunks_read = 0;
   uint64_t chunks_skipped = 0;
   uint64_t rr_resident_peak_bytes = 0;
-  /// Deep-queue I/O observability (store counters, charged to the first
+  /// Deep-queue I/O observability (a store counter, charged to the first
   /// ad using the store): the high-water mark of cold-chunk reads in
-  /// flight, whether the store's spill file reads through O_DIRECT, and
-  /// direct reads healed by buffered re-reads.
+  /// flight.
   uint64_t reads_in_flight_peak = 0;
-  bool direct_io_active = false;
-  uint64_t direct_fallbacks = 0;
   /// Failure handling (store counters charged to the first ad using the
   /// store, like rr_memory_bytes; growth_admission_caps is per-ad).
   /// spill_retries counts transient cold-tier I/O attempts that were
@@ -266,11 +256,8 @@ struct TiResult {
   uint64_t total_chunks_read = 0;
   uint64_t total_chunks_skipped = 0;
   /// Deep-queue I/O: MAX over stores of reads_in_flight_peak (a depth,
-  /// not a sum), stores reading through O_DIRECT, and direct-read
-  /// fallbacks summed.
+  /// not a sum).
   uint64_t total_reads_in_flight_peak = 0;
-  uint32_t stores_direct_io = 0;
-  uint64_t total_direct_fallbacks = 0;
   /// Failure-handling totals (see TiAdStats; all 0 on a fault-free run).
   /// degradation/recovery never change the computed fields above — a
   /// fixed seed yields the same allocation/revenue/θ with or without

@@ -124,9 +124,9 @@ class RrCollection {
   /// coverage counts of their members. Returns how many sets were newly
   /// covered. When the store has a spilled prefix, its cold chunks are
   /// applied first (streamed through the store's prefetch pipeline, with
-  /// `pool` as the read backend), then the hot index — ascending set id
+  /// `pool` running the reads), then the hot index — ascending set id
   /// throughout, so the result is bit-identical to a resident-only store
-  /// at any backend or worker count. When `touched` is non-null it is
+  /// at any queue depth or worker count. When `touched` is non-null it is
   /// cleared and filled with the nodes whose coverage decreased (members
   /// of the newly covered sets), ascending — the windowed candidate rule
   /// uses this delta set to avoid re-settling unaffected window entries.

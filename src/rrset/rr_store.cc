@@ -235,10 +235,9 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
   if (spill_ == nullptr) {
     spill_ = std::make_unique<SpillFile>(
         options.path.empty() ? MakeSpillPath() : options.path,
-        options.bloom_bits_per_key, options.direct_io);
+        options.bloom_bits_per_key);
   }
   scan_ring_depth_ = options.io_ring_depth;
-  scan_direct_min_bytes_ = options.direct_io_min_bytes;
   const uint64_t target = std::max<uint64_t>(1, options.chunk_target_bytes);
   // Cluster gate: a pure function of num_nodes — never of load or
   // schedule — so the chunk layout is deterministic. Tiny graphs keep
@@ -438,8 +437,7 @@ std::unique_ptr<RrStore::ColdScan> RrStore::StartColdScan(
   // re-read from disk.
   if (!disk.empty()) {
     scan->cursor = std::make_unique<SpillChunkCursor>(
-        *spill_, std::move(disk), pool, scan_ring_depth_,
-        /*use_direct=*/ScanDirectReads());
+        *spill_, std::move(disk), pool, scan_ring_depth_);
   }
   return scan;
 }
@@ -610,17 +608,6 @@ uint64_t RrStore::spill_retry_successes() const {
 
 uint64_t RrStore::SpillChunks() const {
   return spill_ == nullptr ? 0 : spill_->num_chunks();
-}
-
-bool RrStore::ScanDirectReads() const {
-  return spill_ != nullptr && spill_->direct_io_active() &&
-         spill_->bytes_on_disk() >= scan_direct_min_bytes_;
-}
-
-bool RrStore::direct_io_active() const { return ScanDirectReads(); }
-
-uint64_t RrStore::direct_fallbacks() const {
-  return spill_ == nullptr ? 0 : spill_->direct_fallbacks();
 }
 
 // -------------------------------------------------------------- accounting

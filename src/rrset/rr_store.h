@@ -202,8 +202,9 @@ class RrStore {
   /// excludes `v` — id range at or beyond max_id, node-envelope miss, or
   /// Bloom-filter miss (spill_file.h) — are skipped without touching
   /// disk; the rest are streamed through a SpillChunkCursor, which keeps
-  /// up to the spill ring depth of further chunks' reads in flight
-  /// (io_uring, pool workers, or plain pread) while chunk k is applied.
+  /// up to the spill ring depth of further chunks' reads in flight (pool
+  /// pread tasks, or inline preads without a pool) while chunk k is
+  /// applied.
   /// fn always runs serially in list order, so the call sequence is
   /// identical at any queue depth. A non-empty `alive` byte span (one
   /// byte per set id, nonzero = pass; must cover every id below max_id)
@@ -307,14 +308,6 @@ class RrStore {
   /// High-water mark of cold-chunk reads in flight over all scans (0 until
   /// a scan actually overlapped reads; bounded by the spill ring depth).
   uint64_t reads_in_flight_peak() const { return reads_in_flight_peak_; }
-  /// True when cold scans currently read through O_DIRECT: the spill
-  /// file's direct fd is open (SpillFile::direct_io_active) AND the file
-  /// has outgrown SpillOptions::direct_io_min_bytes — below that, scans
-  /// deliberately stay on the buffered fd, where the bytes the spill just
-  /// wrote are plain page-cache hits. False before any spill.
-  bool direct_io_active() const;
-  /// Direct-read failures healed by buffered re-reads (SpillFile).
-  uint64_t direct_fallbacks() const;
 
   // ---- Accounting. ----
 
@@ -374,15 +367,11 @@ class RrStore {
 
   // Cold tier (created on first SpillPrefix). The scan counters mutate on
   // const scans; updated only from the (single) thread calling
-  // StartColdScan / FinishColdScan, never from the prefetch backend.
+  // StartColdScan / FinishColdScan, never from the prefetch reads.
   std::unique_ptr<SpillFile> spill_;
   // Queue depth for scan cursors (SpillOptions::io_ring_depth, recorded
   // at spill time; the default matches AsyncFileReader::kDefaultDepth).
   uint32_t scan_ring_depth_ = 16;
-  // Scan-side direct-read gate (SpillOptions::direct_io_min_bytes,
-  // recorded at spill time): scans use the O_DIRECT fd only once the file
-  // holds at least this many bytes. See ScanDirectReads().
-  uint64_t scan_direct_min_bytes_ = 64ull << 20;
   mutable uint64_t scan_reloads_ = 0;
   mutable uint64_t chunks_read_ = 0;
   mutable uint64_t chunks_skipped_ = 0;
@@ -410,10 +399,6 @@ class RrStore {
     std::vector<graph::NodeId> nodes;
   };
   const RecoveredChunk& RecoverChunk(uint32_t chunk) const;
-  // Whether a cold scan started now would use the O_DIRECT fd (the
-  // direct_io_min_bytes gate) — the scan-level truth direct_io_active()
-  // reports.
-  bool ScanDirectReads() const;
   mutable std::map<uint32_t, RecoveredChunk> recovered_;
   mutable uint64_t recovered_bytes_ = 0;  // cache footprint, in MemoryBytes
   mutable uint64_t degradation_events_ = 0;

@@ -1,17 +1,14 @@
 #include "rrset/spill_file.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <new>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -44,11 +41,6 @@ struct DiskFooter {
 static_assert(sizeof(DiskFooter) == 64);
 constexpr uint32_t kFooterMagic = 0x33415349;  // "ISA3"
 constexpr uint32_t kFooterVersion = 3;
-
-// Chunk regions start and end on this boundary at minimum, whatever the
-// O_DIRECT probe said — the layout must not depend on the filesystem du
-// jour, only the probed alignment may RAISE it.
-constexpr uint32_t kMinIoAlignment = 4096;
 
 uint64_t RoundUp(uint64_t x, uint64_t align) {
   return (x + align - 1) / align * align;
@@ -190,25 +182,6 @@ void SpillFile::ReadAll(void* data, size_t len, uint64_t offset) const {
   }
 }
 
-void SpillFile::SyncForDirectReads() const {
-  if (direct_fd_ < 0) return;
-  if (!dirty_.exchange(false, std::memory_order_acq_rel)) return;
-  int rc;
-  do {
-    rc = ::fdatasync(fd_);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    // Direct reads would race the unflushed page cache — demote the file
-    // to buffered reads for the rest of its life rather than risk stale
-    // bytes. Buffered reads see the cache and stay coherent.
-    ISA_LOG("SpillFile: fdatasync(%s) failed (%s); disabling O_DIRECT",
-            path_.c_str(), std::strerror(errno));
-    ::close(direct_fd_);
-    direct_fd_ = -1;
-    dirty_.store(true, std::memory_order_relaxed);
-  }
-}
-
 std::string MakeSpillPath(const std::string& dir) {
   static std::atomic<uint64_t> seq{0};
   std::string base = dir;
@@ -221,8 +194,7 @@ std::string MakeSpillPath(const std::string& dir) {
          std::to_string(seq.fetch_add(1)) + ".bin";
 }
 
-SpillFile::SpillFile(std::string path, uint32_t bloom_bits_per_key,
-                     bool direct_io)
+SpillFile::SpillFile(std::string path, uint32_t bloom_bits_per_key)
     : path_(std::move(path)), bloom_bits_per_key_(bloom_bits_per_key) {
   // O_EXCL (and no O_TRUNC): the spill path is predictable
   // (pid + sequence), so a file or symlink planted there by another
@@ -239,40 +211,9 @@ SpillFile::SpillFile(std::string path, uint32_t bloom_bits_per_key,
     }
     path_ = requested + "." + std::to_string(attempt);
   }
-  // O_DIRECT probe: a second read-only fd for cold scans. tmpfs and some
-  // network filesystems reject the flag outright — that is the buffered
-  // fallback, not an error. ISA_DISABLE_O_DIRECT forces the fallback,
-  // mirroring the ISA_DISABLE_IO_URING switch, and is re-read per open so
-  // tests can toggle it.
-  if (direct_io && std::getenv("ISA_DISABLE_O_DIRECT") == nullptr) {
-    direct_fd_ = ::open(path_.c_str(),
-                        O_RDONLY | O_DIRECT | O_CLOEXEC | O_NOFOLLOW);
-  }
-#ifdef STATX_DIOALIGN
-  if (direct_fd_ >= 0) {
-    struct statx stx{};
-    if (::statx(direct_fd_, "", AT_EMPTY_PATH, STATX_DIOALIGN, &stx) == 0 &&
-        (stx.stx_mask & STATX_DIOALIGN) != 0) {
-      if (stx.stx_dio_offset_align == 0 || stx.stx_dio_mem_align == 0) {
-        // The filesystem took the flag but cannot serve direct I/O here.
-        ::close(direct_fd_);
-        direct_fd_ = -1;
-      } else {
-        // One alignment serves offsets, lengths and buffers alike; the
-        // probe may only raise the floor, never lower it, so the chunk
-        // layout stays deterministic across filesystems.
-        io_alignment_ = std::max(
-            kMinIoAlignment,
-            std::max(stx.stx_dio_offset_align, stx.stx_dio_mem_align));
-      }
-    }
-  }
-#endif
-  ISA_CHECK(std::has_single_bit(io_alignment_));
 }
 
 SpillFile::~SpillFile() {
-  if (direct_fd_ >= 0) ::close(direct_fd_);
   if (fd_ >= 0) ::close(fd_);
   ::unlink(path_.c_str());
 }
@@ -338,9 +279,8 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   }
 
   // Region layout: [sizes][nodes][bloom][ids][zero pad][footer], the
-  // footer flush against the next alignment boundary so every chunk's
-  // file_offset is aligned and an alignment-rounded payload read never
-  // crosses EOF.
+  // footer flush against the next kRegionAlignment boundary so every
+  // chunk's file_offset is aligned.
   uint64_t cursor = bytes_;
   WriteAll(sizes.data(), sizes.size_bytes(), cursor);
   cursor += sizes.size_bytes();
@@ -356,7 +296,7 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
     cursor += meta.ids.size() * sizeof(uint32_t);
   }
   const uint64_t region_end =
-      RoundUp(cursor + sizeof(DiskFooter), io_alignment_);
+      RoundUp(cursor + sizeof(DiskFooter), kRegionAlignment);
   const uint64_t pad = region_end - sizeof(DiskFooter) - cursor;
   if (pad > 0) {
     const std::vector<char> zeros(pad, 0);
@@ -379,7 +319,6 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   bloom_bytes_ += meta.bloom.capacity() * sizeof(uint64_t);
   ids_bytes_ += meta.ids.capacity() * sizeof(uint32_t);
   chunks_.push_back(std::move(meta));
-  dirty_.store(true, std::memory_order_release);
 }
 
 void SpillFile::ReadChunk(size_t chunk, std::vector<uint32_t>* sizes,
@@ -404,17 +343,8 @@ bool SpillFile::ChunkMightContain(size_t chunk, graph::NodeId v) const {
 
 SpillChunkCursor::SpillChunkCursor(const SpillFile& file,
                                    std::vector<uint32_t> chunks,
-                                   ThreadPool* pool, uint32_t depth,
-                                   bool use_direct)
-    : file_(file),
-      chunks_(std::move(chunks)),
-      reader_(pool, AsyncIoBackend::kAuto, std::max(1u, depth)) {
-  direct_ = use_direct && file_.direct_io_active();
-  if (direct_) {
-    file_.SyncForDirectReads();
-    // SyncForDirectReads may have demoted the file mid-probe.
-    direct_ = file_.direct_io_active();
-  }
+                                   ThreadPool* pool, uint32_t depth)
+    : file_(file), chunks_(std::move(chunks)), reader_(pool, depth) {
   // depth buffers in flight + 1 being consumed; positions use idx % size.
   bufs_.resize(std::min<size_t>(
       chunks_.size(), static_cast<size_t>(reader_.depth()) + 1));
@@ -430,51 +360,23 @@ SpillChunkCursor::~SpillChunkCursor() {
   // Drain in-flight reads BEFORE freeing their buffers: the reader member
   // is declared after bufs_, so it destructs first, but be explicit.
   while (reader_.in_flight()) static_cast<void>(reader_.Wait());
-  for (AlignedBuffer& b : bufs_) std::free(b.data);
 }
 
 AsyncReadRequest SpillChunkCursor::RequestFor(size_t idx) {
   const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[idx]];
-  AlignedBuffer& b = bufs_[idx % bufs_.size()];
-  const size_t payload = meta.PayloadBytes();
-  // Direct reads must cover whole alignment units; the chunk region is
-  // padded so the rounded read stays inside it.
-  const size_t want =
-      direct_ ? RoundUp(payload, file_.io_alignment()) : payload;
-  if (b.cap < want) {
-    std::free(b.data);
-    b.data = nullptr;
-    b.cap = 0;
-    void* p = nullptr;
-    if (posix_memalign(&p, file_.io_alignment(), want) != 0) {
-      throw std::bad_alloc();
-    }
-    b.data = static_cast<char*>(p);
-    b.cap = want;
-  }
-  return {direct_ ? file_.direct_fd_ : file_.fd_, meta.file_offset, b.data,
-          want};
+  std::vector<uint32_t>& b = bufs_[idx % bufs_.size()];
+  const size_t words = meta.NumSets() + meta.postings;
+  if (b.size() < words) b.resize(words);
+  return {file_.fd_, meta.file_offset, b.data(), meta.PayloadBytes()};
 }
 
 bool SpillChunkCursor::Next() {
   if (pos_ == chunks_.size()) return false;
   const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[pos_]];
-  AlignedBuffer& b = bufs_[pos_ % bufs_.size()];
+  std::vector<uint32_t>& b = bufs_[pos_ % bufs_.size()];
   int err = reader_.Wait();
   if (const int e = FailPointHit("spill.read")) err = e;
-  if (err != 0 && !TransientIoError(err) && direct_) {
-    // O_DIRECT fallback rung: a PERMANENT-looking direct-path failure
-    // (alignment quirk, driver refusal — typically EINVAL) gets one
-    // buffered re-read before it costs the scan its chunk. Transient
-    // errors skip this rung and take the counted retry ladder below.
-    file_.direct_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    err = FailPointHit("spill.read");
-    if (err == 0) {
-      err = PreadOnce(file_.fd_, b.data, meta.PayloadBytes(),
-                      meta.file_offset);
-    }
-  }
-  // A transiently failed chunk is re-read synchronously (buffered) — the
+  // A transiently failed chunk is re-read synchronously — the
   // pipeline's overlap is lost for one chunk, its bytes and apply order
   // are not.
   for (int attempt = 1;
@@ -484,7 +386,7 @@ bool SpillChunkCursor::Next() {
     BackoffYield(attempt - 1);
     err = FailPointHit("spill.read");
     if (err == 0) {
-      err = PreadOnce(file_.fd_, b.data, meta.PayloadBytes(),
+      err = PreadOnce(file_.fd_, b.data(), meta.PayloadBytes(),
                       meta.file_offset);
     }
     if (err == 0) {
@@ -507,7 +409,7 @@ bool SpillChunkCursor::Next() {
 }
 
 const uint32_t* SpillChunkCursor::PayloadAt(size_t idx) const {
-  return reinterpret_cast<const uint32_t*>(bufs_[idx % bufs_.size()].data);
+  return bufs_[idx % bufs_.size()].data();
 }
 
 std::span<const uint32_t> SpillChunkCursor::sizes() const {

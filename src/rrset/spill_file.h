@@ -11,18 +11,16 @@
 //   [uint32 nodes[postings]]          concatenated members, in id order
 //   [uint64 bloom[bloom_words]]       Bloom filter over the member node ids
 //   [uint32 ids[num_sets]]            sparse chunks only: the set ids
-//   [zero padding]                    to the alignment boundary
+//   [zero padding]                    to the next 4096-byte boundary
 //   [footer v3]                       id range + count, node-id min/max,
 //                                     payload offset, posting count,
 //                                     bloom length, version + magic
 //
-// Every chunk region starts and ends on an I/O alignment boundary (the
-// direct-I/O offset alignment queried at open, at least 4096 bytes), so
-// O_DIRECT reads of a chunk payload — rounded up to the alignment — never
-// cross EOF and need no offset fix-up. The footer sits at the END of the
-// padded region, so the file stays self-describing by a backward footer
-// walk from EOF (each footer names its chunk's file_offset; the previous
-// footer ends where that region starts). Footers are mirrored in memory —
+// Every chunk region starts and ends on a 4096-byte boundary
+// (kRegionAlignment). The footer sits at the END of the padded region, so
+// the file stays self-describing by a backward footer walk from EOF (each
+// footer names its chunk's file_offset; the previous footer ends where
+// that region starts). Footers are mirrored in memory —
 // bloom words and sparse id lists included — so scans can skip chunks by
 // id range, by the node-id [min, max] envelope, or by a Bloom miss without
 // touching the disk (ChunkMightContain). The filter is built at spill
@@ -31,16 +29,8 @@
 // power-of-two word count), so a low-selectivity seed skips most chunks at
 // ~1 bit of resident cost per posting.
 //
-// Reads: appends are buffered pwrites on the writing fd; scans prefer a
-// second read-only fd opened with O_DIRECT (probed per open; tmpfs and
-// friends reject it and fall back to buffered reads transparently, and
-// ISA_DISABLE_O_DIRECT=1 forces the fallback, mirroring the io_uring
-// switch), so spilled bytes stop being double-cached in the page cache.
-// The first direct read after an append epoch is preceded by one
-// fdatasync, keeping direct reads coherent with the buffered writes. A
-// direct read that fails is retried through the buffered fd before the
-// bounded retry ladder engages (direct_fallbacks counts those). All reads
-// use positional I/O, so concurrent chunk reads need no locking.
+// I/O: appends are buffered pwrites and reads buffered preads on one fd.
+// All reads use positional I/O, so concurrent chunk reads need no locking.
 //
 // The file is created O_EXCL at a process-unique name (a pre-existing
 // file or symlink at the requested path is never truncated or followed —
@@ -99,20 +89,6 @@ struct SpillOptions {
   /// queue depth; clamped to [1, AsyncFileReader::kMaxDepth]). 1 degrades
   /// to the old one-outstanding pipeline.
   uint32_t io_ring_depth = AsyncFileReader::kDefaultDepth;
-  /// Try O_DIRECT for cold-tier chunk reads (probed per open; falls back
-  /// to buffered reads when the filesystem refuses, and
-  /// ISA_DISABLE_O_DIRECT=1 in the environment forces the fallback).
-  bool direct_io = true;
-  /// Spill-file size (bytes on disk) below which cold scans read through
-  /// the buffered fd even when the O_DIRECT fd is open. A small spill
-  /// still lives in the page cache its own writes populated, so buffered
-  /// reads are plain cache hits; direct reads of the same bytes force an
-  /// fdatasync and hit storage. Past the threshold the spill no longer
-  /// fits cache-resident and direct reads win back the double-caching.
-  /// Deterministic (a pure function of bytes written) and reported
-  /// honestly: RrStore::direct_io_active() reflects the scan-level
-  /// decision. 0 = direct from the first byte.
-  uint64_t direct_io_min_bytes = 64ull << 20;
 };
 
 /// A process-unique spill file path: `<dir>/isa-spill-<pid>-<seq>.bin`,
@@ -124,6 +100,10 @@ std::string MakeSpillPath(const std::string& dir = {});
 /// concurrently with each other but not with an append.
 class SpillFile {
  public:
+  /// Every chunk region starts and ends on this byte boundary (see file
+  /// comment); part of the on-disk layout.
+  static constexpr uint32_t kRegionAlignment = 4096;
+
   /// One chunk's in-memory footer.
   struct ChunkMeta {
     /// Smallest id in the chunk and one past the largest. Dense chunks
@@ -137,7 +117,7 @@ class SpillFile {
     graph::NodeId node_min = 0;
     graph::NodeId node_max = 0;
     /// Byte offset of the sizes column in the file (always a multiple of
-    /// the file's I/O alignment). The nodes column follows contiguously,
+    /// kRegionAlignment). The nodes column follows contiguously,
     /// so one read of PayloadBytes() at this offset fetches the whole
     /// chunk.
     uint64_t file_offset = 0;
@@ -164,14 +144,11 @@ class SpillFile {
   };
 
   /// Creates the file at `path` with O_EXCL, retrying with a numeric
-  /// suffix while the name is taken (path() reports the winner), and
-  /// probes O_DIRECT on a second read-only fd unless `direct_io` is false
-  /// or ISA_DISABLE_O_DIRECT is set. Throws SpillIoError on creation
-  /// failure — the spill tier is backing storage; running on without it
-  /// would silently break the memory budget. A failed O_DIRECT probe is
-  /// not an error: reads fall back to the buffered fd.
-  explicit SpillFile(std::string path, uint32_t bloom_bits_per_key = 8,
-                     bool direct_io = true);
+  /// suffix while the name is taken (path() reports the winner). Throws
+  /// SpillIoError on creation failure — the spill tier is backing
+  /// storage; running on without it would silently break the memory
+  /// budget.
+  explicit SpillFile(std::string path, uint32_t bloom_bits_per_key = 8);
   ~SpillFile();
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
@@ -185,8 +162,8 @@ class SpillFile {
   /// Appends the sets listed in `ids` (ascending; empty = the dense range
   /// [set_lo, set_hi)): `sizes[k]` members of the k-th id taken in order
   /// from the concatenated `nodes`. Computes the node-id envelope and
-  /// Bloom filter and writes payload + metadata + footer, padded to the
-  /// I/O alignment. Without a BeginBatch, set_lo must be at or past every
+  /// Bloom filter and writes payload + metadata + footer, padded to
+  /// kRegionAlignment. Without a BeginBatch, set_lo must be at or past every
   /// previously appended id — a lower id means a caller re-spilled a
   /// range after a SpillIoError (the file is then inconsistent; fail
   /// loudly). Throws SpillIoError on I/O failure (the chunk is then not
@@ -197,11 +174,9 @@ class SpillFile {
                    std::span<const uint32_t> ids = {});
 
   /// Reads chunk `chunk` back into `sizes`/`nodes` (resized to fit) — the
-  /// exact columns AppendChunk wrote. Always buffered (the recovery
-  /// ladder's fresh re-read must not share the direct path's failure
-  /// mode). Thread-safe against other reads. Throws SpillIoError on I/O
-  /// failure. Scans prefer SpillChunkCursor, which overlaps reads with
-  /// applies.
+  /// exact columns AppendChunk wrote. Thread-safe against other reads.
+  /// Throws SpillIoError on I/O failure. Scans prefer SpillChunkCursor,
+  /// which overlaps reads with applies.
   void ReadChunk(size_t chunk, std::vector<uint32_t>* sizes,
                  std::vector<graph::NodeId>* nodes) const;
 
@@ -213,7 +188,7 @@ class SpillFile {
   std::span<const ChunkMeta> chunks() const { return chunks_; }
   size_t num_chunks() const { return chunks_.size(); }
 
-  /// Bytes written to disk (payload + filters + footers + alignment
+  /// Bytes written to disk (payload + filters + footers + region
   /// padding) — the non-resident tier's size for Table 3 accounting.
   uint64_t bytes_on_disk() const { return bytes_; }
 
@@ -226,14 +201,6 @@ class SpillFile {
 
   const std::string& path() const { return path_; }
 
-  /// True when the O_DIRECT read fd is open: cold scans bypass the page
-  /// cache. False = buffered fallback (unsupported filesystem or
-  /// ISA_DISABLE_O_DIRECT).
-  bool direct_io_active() const { return direct_fd_ >= 0; }
-  /// The I/O alignment chunk regions are padded to (≥ 4096; also a valid
-  /// O_DIRECT offset/length/buffer alignment when direct_io_active).
-  uint32_t io_alignment() const { return io_alignment_; }
-
   /// Transient-fault retries issued by the bounded retry layer (reads and
   /// writes combined) and how many of them ultimately succeeded. A
   /// permanent fault (EIO, ENOSPC, EOF) never retries; a transient one
@@ -245,11 +212,6 @@ class SpillFile {
   uint64_t retry_successes() const {
     return retry_successes_.load(std::memory_order_relaxed);
   }
-  /// Failed direct (O_DIRECT) chunk reads that were retried through the
-  /// buffered fd — the recovery ladder's direct-I/O fallback rung.
-  uint64_t direct_fallbacks() const {
-    return direct_fallbacks_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class SpillChunkCursor;
@@ -259,18 +221,9 @@ class SpillFile {
   // the retry budget runs out or the fault is permanent.
   void WriteAll(const void* data, size_t len, uint64_t offset);
   void ReadAll(void* data, size_t len, uint64_t offset) const;
-  // fdatasync the writing fd once per append epoch before direct reads,
-  // keeping O_DIRECT reads coherent with the buffered writes. No-op when
-  // direct I/O is inactive or nothing was appended since the last call.
-  void SyncForDirectReads() const;
 
   std::string path_;
-  int fd_ = -1;  // buffered read/write fd (appends, fallback reads)
-  // O_DIRECT read-only fd; -1 = buffered fallback. Mutable: a failed
-  // fdatasync closes it (buffered reads stay coherent, direct ones would
-  // not), demoting the file to buffered mid-flight.
-  mutable int direct_fd_ = -1;
-  uint32_t io_alignment_ = 4096;
+  int fd_ = -1;
   uint32_t bloom_bits_per_key_;
   uint64_t bytes_ = 0;
   uint64_t bloom_bytes_ = 0;  // resident bytes of the mirrored filters
@@ -281,42 +234,33 @@ class SpillFile {
   uint64_t batch_hi_ = 0;
   std::vector<ChunkMeta> chunks_;
   std::vector<graph::NodeId> distinct_scratch_;  // AppendChunk's sort buffer
-  mutable std::atomic<bool> dirty_{false};  // appended since last fdatasync
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> retry_successes_{0};
-  mutable std::atomic<uint64_t> direct_fallbacks_{0};
 };
 
 /// Deep-queue pipelined reader over an ascending list of a SpillFile's
 /// chunk indices: the whole filtered list (capped at the queue depth) is
 /// submitted in one batch when the cursor is built, and while the caller
 /// consumes chunk k's columns, up to depth further chunks' bytes stream
-/// into a ring of alignment-padded buffers (common/async_io.h picks
-/// io_uring, pool workers, or plain preads — the same bytes arrive
-/// whichever backend serves the reads, and the FIFO Wait re-orders
-/// out-of-order completions). Chunks are delivered strictly in list
-/// order: consumers that apply per chunk keep their deterministic call
-/// sequence at any queue depth, prefetch on or off. Reads go through the
-/// file's O_DIRECT fd when active (buffer, offset and length aligned;
-/// failed direct reads fall back to buffered re-reads).
+/// into a ring of buffers (common/async_io.h: pool pread tasks, or inline
+/// preads without a pool — the same bytes arrive either way, and the FIFO
+/// Wait re-orders out-of-order completions). Chunks are delivered
+/// strictly in list order: consumers that apply per chunk keep their
+/// deterministic call sequence at any queue depth, prefetch on or off.
 ///
 /// The SpillFile must outlive the cursor and must not be appended to while
 /// a cursor is live. Not thread-safe; one cursor per scan.
 class SpillChunkCursor {
  public:
-  /// `use_direct = false` pins this scan to the buffered fd even when the
-  /// file's O_DIRECT fd is open — how RrStore keeps small cache-resident
-  /// spills on the cheap path (SpillOptions::direct_io_min_bytes).
   SpillChunkCursor(const SpillFile& file, std::vector<uint32_t> chunks,
                    ThreadPool* pool,
-                   uint32_t depth = AsyncFileReader::kDefaultDepth,
-                   bool use_direct = true);
+                   uint32_t depth = AsyncFileReader::kDefaultDepth);
   ~SpillChunkCursor();
 
   /// Advances to the next chunk in the list, blocking only until ITS bytes
   /// landed (a further chunk's read is then started to keep the queue
-  /// full). Returns false when the list is exhausted. A failed direct
-  /// read is re-read buffered; a transiently failed read is retried
+  /// full). Returns false when the list is exhausted. A transiently
+  /// failed read is retried
   /// synchronously up to the file's retry budget; a permanent failure (or
   /// exhausted budget) throws SpillIoError — the caller may then still
   /// recover the remaining chunks per-chunk (see RrStore::FinishColdScan).
@@ -328,21 +272,14 @@ class SpillChunkCursor {
   std::span<const uint32_t> sizes() const;
   std::span<const graph::NodeId> nodes() const;
 
-  const char* backend_name() const { return reader_.backend_name(); }
   /// High-water mark of reads in flight (see AsyncFileReader).
   uint64_t reads_in_flight_peak() const {
     return reader_.reads_in_flight_peak();
   }
 
  private:
-  // An aligned buffer of the pool: posix_memalign'd to the file's I/O
-  // alignment (a valid O_DIRECT memory alignment), grown monotonically.
-  struct AlignedBuffer {
-    char* data = nullptr;
-    size_t cap = 0;
-  };
-  // The read request for list position idx, into its ring buffer (resized
-  // to the alignment-rounded length when direct I/O is active).
+  // The read request for list position idx, into its ring buffer (grown
+  // to fit the chunk's payload).
   AsyncReadRequest RequestFor(size_t idx);
   const uint32_t* PayloadAt(size_t idx) const;
 
@@ -351,8 +288,9 @@ class SpillChunkCursor {
   size_t pos_ = 0;          // chunks consumed; reads are in flight for
                             // positions [pos_, pos_ + reader_.pending())
   size_t next_submit_ = 0;  // first list position not yet submitted
-  bool direct_ = false;     // this scan reads through the O_DIRECT fd
-  std::vector<AlignedBuffer> bufs_;  // ring; position idx uses idx % size
+  // Ring of payload buffers (sizes column, then nodes); position idx uses
+  // idx % size.
+  std::vector<std::vector<uint32_t>> bufs_;
   AsyncFileReader reader_;
 };
 

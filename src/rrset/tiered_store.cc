@@ -12,8 +12,6 @@ TieredRrStore::TieredRrStore(std::shared_ptr<RrStore> store,
     : store_(std::move(store)), options_(std::move(options)) {
   spill_options_.chunk_target_bytes = options_.chunk_target_bytes;
   spill_options_.io_ring_depth = options_.io_ring_depth;
-  spill_options_.direct_io = options_.direct_io;
-  spill_options_.direct_io_min_bytes = options_.direct_io_min_bytes;
   if (enabled()) {
     // Resolve the path once so every spill of this store appends to the
     // same file.

@@ -39,6 +39,13 @@ class ThreadPool;
 
 namespace isa::rrset {
 
+/// Holds no value. Its only uses are the fields
+/// TieredStoreOptions::direct_io/direct_io_min_bytes and
+/// TiOptions::direct_io/direct_io_min_bytes, which exist only because the
+/// benchmark driver (rmbench/src/replay.cc) still copies them field by
+/// field. They are not options and go away with the next benchmark change.
+struct RmbenchCompat {};
+
 struct TieredStoreOptions {
   /// Resident-byte target for the store (its RrStore::MemoryBytes). 0
   /// disables spilling entirely — the tier is then a no-op and the run is
@@ -51,11 +58,9 @@ struct TieredStoreOptions {
   std::string spill_directory;
   /// Cold-scan queue depth (see SpillOptions::io_ring_depth).
   uint32_t io_ring_depth = 16;
-  /// O_DIRECT cold-scan reads (see SpillOptions::direct_io).
-  bool direct_io = true;
-  /// Spill size below which scans stay buffered even with direct I/O on
-  /// (see SpillOptions::direct_io_min_bytes). 0 = direct immediately.
-  uint64_t direct_io_min_bytes = 64ull << 20;
+  /// rmbench compatibility only (see RmbenchCompat).
+  [[no_unique_address]] RmbenchCompat direct_io;
+  [[no_unique_address]] RmbenchCompat direct_io_min_bytes;
 };
 
 /// Budget policy over one RrStore (see file comment). Not thread-safe;

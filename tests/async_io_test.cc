@@ -1,18 +1,14 @@
 // AsyncFileReader — the deep-queue reader behind the spill tier's chunk
-// pipeline. This suite pins the contract every backend must share:
-// backend resolution (io_uring > pool pread > sync, with env/pool
-// fallbacks), FIFO delivery of batched submissions even when the backend
-// completes out of order, EOF/short-read semantics, the "async.submit"
-// failpoint downgrading a whole batch to synchronous completion, and the
-// SpillFile O_DIRECT probe falling back to buffered reads when disabled.
+// pipeline. This suite pins its contract with and without a pool: FIFO
+// delivery of batched submissions even when pool reads complete out of
+// order, depth clamping, EOF/short-read semantics, and the "async.submit"
+// failpoint downgrading a whole batch to inline completion.
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,17 +17,13 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
-#include "rrset/spill_file.h"
 
 namespace isa {
 namespace {
 
 struct FaultGuard {
   FaultGuard() { FailPoints::Clear(); }
-  ~FaultGuard() {
-    FailPoints::Clear();
-    SetAsyncIoBackendForTest(AsyncIoBackend::kAuto);
-  }
+  ~FaultGuard() { FailPoints::Clear(); }
 };
 
 // A regular file holding `size` bytes where byte i == uint8_t(i * 131 + 7),
@@ -65,75 +57,36 @@ struct PatternFile {
   }
 };
 
-const AsyncIoBackend kAllBackends[] = {
-    AsyncIoBackend::kIoUring, AsyncIoBackend::kPoolPread,
-    AsyncIoBackend::kSync};
-
-// ---------------------------------------------------- backend resolution
-
-TEST(AsyncIoBackendTest, ForcedSyncResolvesToSync) {
+// Runs `body` once with a pool (reads are pool pread tasks) and once
+// without (reads are inline preads at Wait).
+template <typename Body>
+void ForPoolAndNoPool(Body body) {
   ThreadPool pool(2);
-  AsyncFileReader reader(&pool, AsyncIoBackend::kSync);
-  EXPECT_STREQ(reader.backend_name(), "sync");
-  EXPECT_EQ(reader.reads_in_flight_peak(), 0u);
-}
-
-TEST(AsyncIoBackendTest, PoolPreadWithoutPoolDegradesToSync) {
-  AsyncFileReader reader(nullptr, AsyncIoBackend::kPoolPread);
-  EXPECT_STREQ(reader.backend_name(), "sync");
-}
-
-TEST(AsyncIoBackendTest, PoolPreadWithPoolResolves) {
-  ThreadPool pool(2);
-  AsyncFileReader reader(&pool, AsyncIoBackend::kPoolPread);
-  EXPECT_STREQ(reader.backend_name(), "pool-pread");
-}
-
-TEST(AsyncIoBackendTest, IoUringResolvesOrFallsBack) {
-  ThreadPool pool(2);
-  AsyncFileReader reader(&pool, AsyncIoBackend::kIoUring);
-  if (IoUringAvailable()) {
-    EXPECT_STREQ(reader.backend_name(), "io_uring");
-  } else {
-    EXPECT_STREQ(reader.backend_name(), "pool-pread");
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(p != nullptr ? "pool" : "no pool");
+    body(p);
   }
 }
 
-TEST(AsyncIoBackendTest, AutoPrefersBestAvailable) {
-  ThreadPool pool(2);
-  AsyncFileReader with_pool(&pool, AsyncIoBackend::kAuto);
-  if (IoUringAvailable()) {
-    EXPECT_STREQ(with_pool.backend_name(), "io_uring");
-  } else {
-    EXPECT_STREQ(with_pool.backend_name(), "pool-pread");
-  }
-  AsyncFileReader without_pool(nullptr, AsyncIoBackend::kAuto);
-  if (!IoUringAvailable()) {
-    EXPECT_STREQ(without_pool.backend_name(), "sync");
-  }
-}
-
-TEST(AsyncIoBackendTest, DepthClampedToValidRange) {
-  AsyncFileReader tiny(nullptr, AsyncIoBackend::kSync, 0);
+TEST(AsyncIoPipelineTest, DepthClampedToValidRange) {
+  AsyncFileReader tiny(nullptr, 0);
   EXPECT_EQ(tiny.depth(), 1u);
-  AsyncFileReader huge(nullptr, AsyncIoBackend::kSync, 100'000);
+  AsyncFileReader huge(nullptr, 100'000);
   EXPECT_EQ(huge.depth(), AsyncFileReader::kMaxDepth);
 }
 
 // ------------------------------------------- batched FIFO read pipeline
 
 // One SubmitBatch of `depth` differently-sized reads; Wait must return
-// them strictly in submission order with the right bytes on every backend
-// (the io_uring backend completes them out of order internally — smaller
-// reads tend to finish first — and re-orders at Wait).
+// them strictly in submission order with the right bytes (pool reads may
+// complete out of order — smaller reads tend to finish first — and are
+// re-ordered at Wait).
 TEST(AsyncIoPipelineTest, BatchedReadsDeliverInSubmissionOrder) {
   const PatternFile file(1 << 16);
-  ThreadPool pool(2);
-  for (AsyncIoBackend backend : kAllBackends) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    AsyncFileReader reader(&pool, backend, /*depth=*/8);
+  ForPoolAndNoPool([&](ThreadPool* pool) {
+    AsyncFileReader reader(pool, /*depth=*/8);
     // Later requests are much smaller than earlier ones, tempting any
-    // out-of-order backend to complete them first.
+    // out-of-order pool reads to complete them first.
     const size_t lens[] = {16384, 8192, 4096, 2048, 1024, 512, 256, 128};
     std::vector<std::vector<char>> bufs;
     std::vector<AsyncReadRequest> reqs;
@@ -153,25 +106,23 @@ TEST(AsyncIoPipelineTest, BatchedReadsDeliverInSubmissionOrder) {
       offset += lens[i];
     }
     EXPECT_FALSE(reader.in_flight());
-    if (backend == AsyncIoBackend::kSync) {
+    if (pool == nullptr) {
       EXPECT_EQ(reader.reads_in_flight_peak(), 0u);
     } else {
       EXPECT_GE(reader.reads_in_flight_peak(), 1u);
       EXPECT_LE(reader.reads_in_flight_peak(), 8u);
     }
-  }
+  });
 }
 
 // Streaming more requests than the queue depth: submit-one/wait-one
 // top-offs keep the window full without ever exceeding depth.
 TEST(AsyncIoPipelineTest, TopOffKeepsWindowWithinDepth) {
   const PatternFile file(1 << 14);
-  ThreadPool pool(2);
   constexpr size_t kLen = 512;
   constexpr size_t kReads = 32;
-  for (AsyncIoBackend backend : kAllBackends) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    AsyncFileReader reader(&pool, backend, /*depth=*/4);
+  ForPoolAndNoPool([&](ThreadPool* pool) {
+    AsyncFileReader reader(pool, /*depth=*/4);
     std::vector<std::vector<char>> bufs(kReads, std::vector<char>(kLen));
     size_t submitted = 0;
     while (submitted < 4) {
@@ -188,17 +139,15 @@ TEST(AsyncIoPipelineTest, TopOffKeepsWindowWithinDepth) {
       }
     }
     EXPECT_FALSE(reader.in_flight());
-  }
+  });
 }
 
 // -------------------------------------------------- EOF and error model
 
 TEST(AsyncIoPipelineTest, EofBeforeRequestedLengthReturnsMinusOne) {
   const PatternFile file(4096);
-  ThreadPool pool(2);
-  for (AsyncIoBackend backend : kAllBackends) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    AsyncFileReader reader(&pool, backend);
+  ForPoolAndNoPool([&](ThreadPool* pool) {
+    AsyncFileReader reader(pool);
     std::vector<char> buf(1024);
     // Entirely past EOF.
     reader.Start(file.fd, file.size + 100, buf.data(), buf.size());
@@ -210,31 +159,29 @@ TEST(AsyncIoPipelineTest, EofBeforeRequestedLengthReturnsMinusOne) {
     reader.Start(file.fd, file.size - buf.size(), buf.data(), buf.size());
     EXPECT_EQ(reader.Wait(), 0);
     EXPECT_TRUE(file.Matches(buf.data(), file.size - buf.size(), buf.size()));
-  }
+  });
 }
 
 TEST(AsyncIoPipelineTest, BadFdSurfacesErrno) {
-  ThreadPool pool(2);
-  for (AsyncIoBackend backend : kAllBackends) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    AsyncFileReader reader(&pool, backend);
+  ForPoolAndNoPool([&](ThreadPool* pool) {
+    AsyncFileReader reader(pool);
     char buf[64];
     reader.Start(/*fd=*/-1, 0, buf, sizeof(buf));
     EXPECT_EQ(reader.Wait(), EBADF);
-  }
+  });
 }
 
 // --------------------------------------------------- failpoint downgrades
 
-// "async.submit" drops the whole batch to synchronous completion: every
-// read still succeeds (served by pread inside Wait), but nothing counts
-// as asynchronously in flight.
+// "async.submit" drops the whole batch to inline completion: every read
+// still succeeds (served by pread inside Wait), but nothing counts as in
+// flight on the pool.
 TEST(AsyncIoFaultTest, SubmitFaultDowngradesBatchToSync) {
   FaultGuard guard;
   const PatternFile file(8192);
   ThreadPool pool(2);
   ASSERT_TRUE(FailPoints::Arm("async.submit.eio@1").ok());
-  AsyncFileReader reader(&pool, AsyncIoBackend::kAuto, /*depth=*/4);
+  AsyncFileReader reader(&pool, /*depth=*/4);
   constexpr size_t kLen = 2048;
   std::vector<std::vector<char>> bufs(4, std::vector<char>(kLen));
   std::vector<AsyncReadRequest> reqs;
@@ -257,42 +204,13 @@ TEST(AsyncIoFaultTest, CompleteFaultOverridesWaitResultOnce) {
   const PatternFile file(4096);
   ThreadPool pool(2);
   ASSERT_TRUE(FailPoints::Arm("async.complete.eio@1").ok());
-  AsyncFileReader reader(&pool, AsyncIoBackend::kAuto);
+  AsyncFileReader reader(&pool);
   std::vector<char> buf(1024);
   reader.Start(file.fd, 0, buf.data(), buf.size());
   EXPECT_EQ(reader.Wait(), EIO);
   reader.Start(file.fd, 0, buf.data(), buf.size());
   EXPECT_EQ(reader.Wait(), 0);
   EXPECT_TRUE(file.Matches(buf.data(), 0, buf.size()));
-}
-
-// ------------------------------------------------ O_DIRECT probe fallback
-
-TEST(DirectIoProbeTest, EnvKillSwitchForcesBufferedReads) {
-  ASSERT_EQ(::setenv("ISA_DISABLE_O_DIRECT", "1", 1), 0);
-  {
-    rrset::SpillFile file(rrset::MakeSpillPath(), /*bloom_bits_per_key=*/8,
-                          /*direct_io=*/true);
-    EXPECT_FALSE(file.direct_io_active());
-  }
-  ASSERT_EQ(::unsetenv("ISA_DISABLE_O_DIRECT"), 0);
-}
-
-TEST(DirectIoProbeTest, OptOutDisablesProbe) {
-  rrset::SpillFile file(rrset::MakeSpillPath(), /*bloom_bits_per_key=*/8,
-                        /*direct_io=*/false);
-  EXPECT_FALSE(file.direct_io_active());
-}
-
-TEST(DirectIoProbeTest, AlignmentIsPowerOfTwoAtLeast4K) {
-  // Whether the probe succeeds depends on the filesystem under the spill
-  // dir (tmpfs rejects O_DIRECT, ext4 accepts); either way the layout
-  // alignment must hold so spill files are valid wherever they land.
-  rrset::SpillFile file(rrset::MakeSpillPath());
-  const uint32_t align = file.io_alignment();
-  EXPECT_GE(align, 4096u);
-  EXPECT_EQ(align & (align - 1), 0u);
-  EXPECT_EQ(file.direct_fallbacks(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // The cold-tier read path added on top of the out-of-core RR store:
 // exclusive spill-file creation (no truncation/symlink following), the
 // per-chunk Bloom filters and their scan counters, the SpillChunkCursor
-// prefetch pipeline across every I/O backend (io_uring / pool pread /
-// sync), fault injection via the FailPoints registry (truncation/EOF is a
+// prefetch pipeline with and without a pool at queue depths 1 and 16,
+// fault injection via the FailPoints registry (truncation/EOF is a
 // permanent unit-level SpillIoError; a permanent cold-read fault mid-run
 // is RECOVERED by re-sampling, a spill-write ENOSPC degrades to resident
 // completion, and only an unrecoverable double fault still surfaces as
 // Status::ResourceExhausted), and the end-to-end invariant: a fixed seed
-// yields a bit-identical TiResult with the prefetch on or off, on any
-// backend, at 1/2/8 threads. Recovery bit-identity and the failure
+// yields a bit-identical TiResult with the prefetch on or off, at queue
+// depth 1 or 16, at 1/2/8 threads. Recovery bit-identity and the failure
 // counters are covered in depth by spill_recovery_test.cc.
 
 #include <fcntl.h>
@@ -81,35 +81,15 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-// Restores the process-wide backend override (and any armed failpoints)
-// no matter how a test exits.
+// Clears any armed failpoints no matter how a test exits.
 struct IoStateGuard {
-  ~IoStateGuard() {
-    SetAsyncIoBackendForTest(AsyncIoBackend::kAuto);
-    FailPoints::Clear();
-  }
+  ~IoStateGuard() { FailPoints::Clear(); }
 };
 
-// The backends every test sweeps: the two portable ones always, io_uring
-// when the kernel grants it.
-std::vector<AsyncIoBackend> Backends() {
-  std::vector<AsyncIoBackend> b = {AsyncIoBackend::kSync,
-                                   AsyncIoBackend::kPoolPread};
-  if (IoUringAvailable()) b.push_back(AsyncIoBackend::kIoUring);
-  return b;
-}
-
-const char* BackendName(AsyncIoBackend b) {
-  switch (b) {
-    case AsyncIoBackend::kIoUring:
-      return "io_uring";
-    case AsyncIoBackend::kPoolPread:
-      return "pool-pread";
-    case AsyncIoBackend::kSync:
-      return "sync";
-    default:
-      return "auto";
-  }
+// The cursor's two read modes: pool pread tasks, and inline preads when
+// there is no pool.
+std::vector<ThreadPool*> PoolAndNoPool(ThreadPool& pool) {
+  return {&pool, nullptr};
 }
 
 // ------------------------------------------------ exclusive file creation
@@ -233,36 +213,38 @@ TEST(SpillPrefetchTest, CursorMatchesReadChunkAcrossBackends) {
   }
 
   ThreadPool pool(4);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
-    // Full walk and a filtered (skipping) walk both deliver exactly the
-    // chunks asked for, in order, bytes intact.
-    for (const std::vector<uint32_t>& want :
-         {std::vector<uint32_t>{0, 1, 2, 3, 4}, std::vector<uint32_t>{1, 3},
-          std::vector<uint32_t>{4}, std::vector<uint32_t>{}}) {
-      SpillChunkCursor cursor(file, want, &pool);
-      size_t k = 0;
-      while (cursor.Next()) {
-        ASSERT_LT(k, want.size());
-        EXPECT_EQ(cursor.chunk(), want[k]);
-        const auto sizes = cursor.sizes();
-        const auto nodes = cursor.nodes();
-        EXPECT_TRUE(std::equal(sizes.begin(), sizes.end(),
-                               all_sizes[want[k]].begin(),
-                               all_sizes[want[k]].end()));
-        EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(),
-                               all_nodes[want[k]].begin(),
-                               all_nodes[want[k]].end()));
-        ++k;
+  for (ThreadPool* p : PoolAndNoPool(pool)) {
+    for (const uint32_t depth : {1u, 16u}) {
+      SCOPED_TRACE(testing::Message() << (p != nullptr ? "pool" : "no pool")
+                                      << " depth " << depth);
+      // Full walk and a filtered (skipping) walk both deliver exactly the
+      // chunks asked for, in order, bytes intact.
+      for (const std::vector<uint32_t>& want :
+           {std::vector<uint32_t>{0, 1, 2, 3, 4}, std::vector<uint32_t>{1, 3},
+            std::vector<uint32_t>{4}, std::vector<uint32_t>{}}) {
+        SpillChunkCursor cursor(file, want, p, depth);
+        size_t k = 0;
+        while (cursor.Next()) {
+          ASSERT_LT(k, want.size());
+          EXPECT_EQ(cursor.chunk(), want[k]);
+          const auto sizes = cursor.sizes();
+          const auto nodes = cursor.nodes();
+          EXPECT_TRUE(std::equal(sizes.begin(), sizes.end(),
+                                 all_sizes[want[k]].begin(),
+                                 all_sizes[want[k]].end()));
+          EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(),
+                                 all_nodes[want[k]].begin(),
+                                 all_nodes[want[k]].end()));
+          ++k;
+        }
+        EXPECT_EQ(k, want.size());
       }
-      EXPECT_EQ(k, want.size());
-    }
-    // Abandoning a cursor mid-walk (prefetch in flight) must be safe: the
-    // destructor drains the outstanding read.
-    {
-      SpillChunkCursor cursor(file, {0, 1, 2, 3, 4}, &pool);
-      ASSERT_TRUE(cursor.Next());
+      // Abandoning a cursor mid-walk (prefetch in flight) must be safe: the
+      // destructor drains the outstanding read.
+      {
+        SpillChunkCursor cursor(file, {0, 1, 2, 3, 4}, p, depth);
+        ASSERT_TRUE(cursor.Next());
+      }
     }
   }
 }
@@ -368,9 +350,8 @@ TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
 TEST(SpillFaultTest, TruncatedFileSurfacesEofAcrossBackends) {
   IoStateGuard guard;
   ThreadPool pool(2);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
+  for (ThreadPool* p : PoolAndNoPool(pool)) {
+    SCOPED_TRACE(p != nullptr ? "pool" : "no pool");
     SpillFile file(rrset::MakeSpillPath());
     const std::vector<uint32_t> sizes = {2, 1};
     const std::vector<graph::NodeId> nodes = {1, 2, 3};
@@ -382,7 +363,7 @@ TEST(SpillFaultTest, TruncatedFileSurfacesEofAcrossBackends) {
     ASSERT_EQ(::truncate(file.path().c_str(),
                          static_cast<off_t>(file.chunks()[1].file_offset + 4)),
               0);
-    SpillChunkCursor cursor(file, {0, 1}, &pool);
+    SpillChunkCursor cursor(file, {0, 1}, p);
     ASSERT_TRUE(cursor.Next());
     EXPECT_EQ(cursor.chunk(), 0u);
     EXPECT_THROW(cursor.Next(), SpillIoError);
@@ -396,9 +377,8 @@ TEST(SpillFaultTest, TruncatedFileSurfacesEofAcrossBackends) {
 TEST(SpillFaultTest, InjectedReadErrorSurfacesAsSpillIoError) {
   IoStateGuard guard;
   ThreadPool pool(2);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
+  for (ThreadPool* p : PoolAndNoPool(pool)) {
+    SCOPED_TRACE(p != nullptr ? "pool" : "no pool");
     SpillFile file(rrset::MakeSpillPath());
     const std::vector<uint32_t> sizes = {1};
     const std::vector<graph::NodeId> nodes = {9};
@@ -407,7 +387,7 @@ TEST(SpillFaultTest, InjectedReadErrorSurfacesAsSpillIoError) {
     // permanent EIO (injected on every read so the retry path cannot
     // sidestep it) must surface as SpillIoError.
     ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
-    SpillChunkCursor cursor(file, {0}, &pool);
+    SpillChunkCursor cursor(file, {0}, p);
     EXPECT_THROW(cursor.Next(), SpillIoError);
     FailPoints::Clear();
   }
@@ -496,9 +476,9 @@ TEST(SpillFaultTest, EnospcOnSpillWriteDegradesToResidentCompletion) {
 
 // ------------------------------------------------ end-to-end bit identity
 
-// The acceptance gate: prefetch on/off (sync backend = off), io_uring vs
-// fallback, O_DIRECT on vs off, 1/2/8 threads — all bit-identical to the
-// unbudgeted single-thread reference.
+// The acceptance gate: queue depth 1 (one read outstanding) vs 16, at
+// 1/2/8 threads (1 thread = no pool workers, so reads run inline) — all
+// bit-identical to the unbudgeted single-thread reference.
 TEST(SpillPrefetchTest, TiResultBitIdenticalAcrossBackendsAndThreads) {
   IoStateGuard guard;
   SpillFaultEndToEndFixture f;
@@ -515,40 +495,27 @@ TEST(SpillPrefetchTest, TiResultBitIdenticalAcrossBackendsAndThreads) {
   }
   options.rr_memory_budget_bytes = max_store_bytes / 2;
   options.spill_chunk_bytes = 16u << 10;  // several chunks to pipeline
-  // The fixture's spill is tiny; without this the direct_io dimension
-  // would be silently demoted to buffered by the size gate.
-  options.direct_io_min_bytes = 0;
 
-  for (const AsyncIoBackend backend : Backends()) {
-    SetAsyncIoBackendForTest(backend);
-    for (const bool direct_io : {true, false}) {
-      options.direct_io = direct_io;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message()
-                     << BackendName(backend) << " "
-                     << (direct_io ? "O_DIRECT" : "buffered") << " "
-                     << threads << " threads");
-        options.num_threads = threads;
-        auto budgeted = RunTiGreedy(*f.instance, options);
-        ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
-        const TiResult& r = budgeted.value();
-        EXPECT_EQ(reference.allocation.seed_sets, r.allocation.seed_sets);
-        EXPECT_EQ(reference.total_revenue, r.total_revenue);  // bitwise
-        EXPECT_EQ(reference.total_seeding_cost, r.total_seeding_cost);
-        EXPECT_EQ(reference.total_seeds, r.total_seeds);
-        EXPECT_EQ(reference.total_theta, r.total_theta);
-        EXPECT_EQ(reference.total_growth_events, r.total_growth_events);
-        // The run must exercise the pipeline for the comparison to mean
-        // anything: chunks were read, and the budget genuinely bit.
-        EXPECT_GT(r.total_spilled_bytes, 0u);
-        EXPECT_GT(r.total_scan_reloads, 0u);
-        EXPECT_GT(r.total_chunks_read, 0u);
-        // direct_io=false must actually turn the probe off (the on case
-        // is filesystem-dependent, so only the off direction is asserted).
-        if (!direct_io) {
-          EXPECT_EQ(r.stores_direct_io, 0u);
-        }
-      }
+  for (const uint32_t depth : {1u, 16u}) {
+    options.io_ring_depth = depth;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "depth " << depth << " " << threads << " threads");
+      options.num_threads = threads;
+      auto budgeted = RunTiGreedy(*f.instance, options);
+      ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+      const TiResult& r = budgeted.value();
+      EXPECT_EQ(reference.allocation.seed_sets, r.allocation.seed_sets);
+      EXPECT_EQ(reference.total_revenue, r.total_revenue);  // bitwise
+      EXPECT_EQ(reference.total_seeding_cost, r.total_seeding_cost);
+      EXPECT_EQ(reference.total_seeds, r.total_seeds);
+      EXPECT_EQ(reference.total_theta, r.total_theta);
+      EXPECT_EQ(reference.total_growth_events, r.total_growth_events);
+      // The run must exercise the pipeline for the comparison to mean
+      // anything: chunks were read, and the budget genuinely bit.
+      EXPECT_GT(r.total_spilled_bytes, 0u);
+      EXPECT_GT(r.total_scan_reloads, 0u);
+      EXPECT_GT(r.total_chunks_read, 0u);
     }
   }
 }

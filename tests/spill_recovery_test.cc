@@ -9,14 +9,13 @@
 // caps θ-growth), and the acceptance gate: with a permanent cold-read
 // fault injected on EVERY read, RunTiGreedy completes with
 // degradation_events > 0 and recovered_sets > 0 and a TiResult whose
-// computed fields are bit-identical to the fault-free run, on every I/O
-// backend at 1/2/8 threads.
+// computed fields are bit-identical to the fault-free run, at queue depth
+// 1 or 16 and 1/2/8 threads.
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "common/async_io.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -50,10 +49,7 @@ using rrset::TieredStoreOptions;
 
 struct FaultGuard {
   FaultGuard() { FailPoints::Clear(); }
-  ~FaultGuard() {
-    FailPoints::Clear();
-    SetAsyncIoBackendForTest(AsyncIoBackend::kAuto);
-  }
+  ~FaultGuard() { FailPoints::Clear(); }
 };
 
 Graph MakeBaGraph(graph::NodeId n, uint32_t m, uint64_t seed = 9) {
@@ -117,10 +113,11 @@ struct SpilledStoreFixture {
     store.SpillPrefix(kSets, so);
   }
 
-  std::vector<uint32_t> Scan(graph::NodeId v) const {
+  std::vector<uint32_t> Scan(graph::NodeId v,
+                             ThreadPool* pool = nullptr) const {
     std::vector<uint32_t> got;
     store.ForEachSpilledSetContaining(
-        v, kSets, nullptr, {},
+        v, kSets, pool, {},
         [&](uint64_t r, std::span<const graph::NodeId>) {
           got.push_back(static_cast<uint32_t>(r));
         });
@@ -212,14 +209,14 @@ TEST(SpillRecoveryTest, AsyncCompleteFaultHealsByRereadWithoutResample) {
   SpilledStoreFixture f;
   // No resampler installed: when only the pipelined (async) read path is
   // faulted, the per-chunk fresh re-read rung of the ladder must heal the
-  // scan on its own.
-  for (const AsyncIoBackend backend :
-       {AsyncIoBackend::kSync, AsyncIoBackend::kPoolPread}) {
-    SetAsyncIoBackendForTest(backend);
+  // scan on its own — with pool reads and with inline reads.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(p != nullptr ? "pool" : "no pool");
     FailPoints::Clear();
     ASSERT_TRUE(FailPoints::Arm("async.complete.eio@every:1").ok());
     for (graph::NodeId v = 0; v < f.g.num_nodes(); v += 97) {
-      ASSERT_EQ(f.Scan(v), f.expected[v]) << "node " << v;
+      ASSERT_EQ(f.Scan(v, p), f.expected[v]) << "node " << v;
     }
   }
   EXPECT_EQ(f.store.degradation_events(), 0u);
@@ -295,17 +292,10 @@ void ExpectSameComputedResult(const TiResult& a, const TiResult& b) {
   EXPECT_EQ(a.total_growth_events, b.total_growth_events);
 }
 
-std::vector<AsyncIoBackend> Backends() {
-  std::vector<AsyncIoBackend> b = {AsyncIoBackend::kSync,
-                                   AsyncIoBackend::kPoolPread};
-  if (IoUringAvailable()) b.push_back(AsyncIoBackend::kIoUring);
-  return b;
-}
-
-// The ISSUE acceptance gate: permanent cold-read faults on every read, at
-// 1/2/8 threads on every available I/O backend — the run completes, the
-// counters report the recoveries, and the computed TiResult is
-// bit-identical to the fault-free run.
+// The acceptance gate: permanent cold-read faults on every read, at queue
+// depth 1 or 16 and 1/2/8 threads — the run completes, the counters report
+// the recoveries, and the computed TiResult is bit-identical to the
+// fault-free run.
 TEST(SpillRecoveryEndToEndTest, FaultedRunBitIdenticalAcrossBackendsAndThreads) {
   FaultGuard guard;
   RecoveryEndToEndFixture f;
@@ -314,13 +304,12 @@ TEST(SpillRecoveryEndToEndTest, FaultedRunBitIdenticalAcrossBackendsAndThreads) 
   ASSERT_GT(clean.value().total_seeds, 0u);
   ASSERT_EQ(clean.value().total_degradation_events, 0u);
 
-  for (const AsyncIoBackend backend : Backends()) {
-    SetAsyncIoBackendForTest(backend);
+  for (const uint32_t depth : {1u, 16u}) {
     for (uint32_t threads : {1u, 2u, 8u}) {
       SCOPED_TRACE(testing::Message()
-                   << "backend " << static_cast<int>(backend) << " "
-                   << threads << " threads");
+                   << "depth " << depth << " " << threads << " threads");
       TiOptions options = f.BudgetedOptions();
+      options.io_ring_depth = depth;
       options.num_threads = threads;
       FailPoints::Clear();
       ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());

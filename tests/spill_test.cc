@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -104,6 +105,32 @@ TEST(SpillFileTest, RoundTripChunksAndFooters) {
   // The chunk file is a cache, not a persistence format: gone with the
   // object.
   EXPECT_FALSE(FileExists(path));
+}
+
+// Pins the on-disk layout: every chunk region starts and ends on a
+// 4096-byte boundary with the v3 footer ("ISA3" magic, version 3) flush
+// against its end, so spilled_bytes stays a multiple of the region size.
+TEST(SpillFileTest, ChunkRegionsArePaddedTo4KiBWithTrailingFooter) {
+  SpillFile file(rrset::MakeSpillPath());
+  const std::vector<uint32_t> sizes = {3, 1};
+  const std::vector<graph::NodeId> nodes = {5, 7, 2, 9};
+  file.AppendChunk(0, 2, sizes, nodes);
+  file.AppendChunk(2, 4, sizes, nodes);
+  ASSERT_EQ(SpillFile::kRegionAlignment, 4096u);
+  EXPECT_EQ(file.bytes_on_disk(), 2u * 4096u);
+  EXPECT_EQ(file.chunks()[0].file_offset, 0u);
+  EXPECT_EQ(file.chunks()[1].file_offset, 4096u);
+  std::ifstream in(file.path(), std::ios::binary);
+  for (const uint64_t region_end : {4096u, 8192u}) {
+    // The footer's last 16 bytes: num_sets, version, magic, pad.
+    uint32_t tail[4] = {};
+    in.seekg(static_cast<std::streamoff>(region_end - sizeof(tail)));
+    in.read(reinterpret_cast<char*>(tail), sizeof(tail));
+    ASSERT_TRUE(in.good());
+    EXPECT_EQ(tail[0], 2u);           // num_sets
+    EXPECT_EQ(tail[1], 3u);           // version
+    EXPECT_EQ(tail[2], 0x33415349u);  // "ISA3"
+  }
 }
 
 // --------------------------------------------------- RrStore::SpillPrefix

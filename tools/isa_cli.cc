@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/async_io.h"
 #include "common/failpoint.h"
 #include "common/flags.h"
 #include "common/strings.h"
@@ -64,13 +65,9 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
                         filters more to skip, larger chunks
                         amortize per-chunk reads; never changes
                         computed results)              [4194304]
-  --io-ring-depth D     cold-scan chunk reads in flight (>= 1;
+  --io-ring-depth D     cold-scan chunk reads in flight (1..128;
                         1 = the old one-outstanding pipeline;
                         never changes computed results)     [16]
-  --no-direct-io        read cold chunks through the page cache
-                        instead of O_DIRECT (the probe also
-                        falls back automatically; equivalent to
-                        ISA_DISABLE_O_DIRECT=1)
   --failpoints SPEC     deterministic fault injection for chaos runs,
                         e.g. "spill.read.eio@every:1" (see
                         common/failpoint.h for the grammar; cold-read
@@ -97,7 +94,7 @@ int main(int argc, char** argv) {
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
        "threads", "share-samples", "async-growth", "growth-delay",
        "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "io-ring-depth",
-       "no-direct-io", "failpoints", "seed", "seeds-csv", "validate", "help"});
+       "failpoints", "seed", "seeds-csv", "validate", "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -107,6 +104,35 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
+
+  // ---- Numeric flags, all parsed before any work: a malformed value is
+  // an error naming the flag, never a silent fall-back to the default.
+  isa::Status bad_number;
+  const auto get_int = [&](const char* name, int64_t def) {
+    const auto r = flags.GetInt(name, def);
+    if (!r.ok() && bad_number.ok()) bad_number = r.status();
+    return r.ok() ? r.value() : def;
+  };
+  const auto get_double = [&](const char* name, double def) {
+    const auto r = flags.GetDouble(name, def);
+    if (!r.ok() && bad_number.ok()) bad_number = r.status();
+    return r.ok() ? r.value() : def;
+  };
+  const int64_t rr_budget = get_int("rr-memory-budget", 0);
+  const int64_t seed_flag = get_int("seed", 42);
+  const int64_t nodes_flag = get_int("nodes", 10'000);
+  const int64_t ads_flag = get_int("ads", 3);
+  const double budget = get_double("budget", 1000.0);
+  const double cpe = get_double("cpe", 1.0);
+  const double alpha = get_double("alpha", 0.2);
+  const double epsilon = get_double("epsilon", 0.3);
+  const int64_t window = get_int("window", 0);
+  const int64_t theta_cap = get_int("theta-cap", 500'000);
+  const int64_t threads = get_int("threads", 0);
+  const int64_t growth_delay = get_int("growth-delay", 2);
+  const int64_t spill_chunk_bytes = get_int("spill-chunk-bytes", 4ll << 20);
+  const int64_t io_ring_depth = get_int("io-ring-depth", 16);
+  if (!bad_number.ok()) return Fail(bad_number);
 
   // ---- Growth-scheduling flag validation (before any expensive work).
   // The engine itself treats growth-delay < 1 as 1 and silently ignores a
@@ -121,8 +147,7 @@ int main(int argc, char** argv) {
           "--growth-delay only applies to async growth; add --async-growth "
           "or drop --growth-delay"));
     }
-    const int64_t delay = flags.GetInt("growth-delay", 2).value_or(2);
-    if (delay < 1) {
+    if (growth_delay < 1) {
       return Fail(isa::Status::InvalidArgument(
           "--growth-delay must be >= 1 round (a growth triggered in round "
           "r adopts at round r + delay; 0 would adopt before sampling "
@@ -139,8 +164,6 @@ int main(int argc, char** argv) {
 
   // Spill-tier flag validation: a negative budget is a typo, and a spill
   // directory without a budget would silently do nothing.
-  const int64_t rr_budget =
-      flags.GetInt("rr-memory-budget", 0).value_or(0);
   if (rr_budget < 0) {
     return Fail(isa::Status::InvalidArgument(
         "--rr-memory-budget must be >= 0 bytes (0 disables spilling)"));
@@ -161,13 +184,8 @@ int main(int argc, char** argv) {
     }
   }
   // Cold-tier I/O knobs. Like --spill-dir these only matter with a budget,
-  // and a malformed value is a typo worth rejecting before graph work
-  // starts. Note: .value_or() would silently swallow a non-numeric value,
-  // so check the Result explicitly.
-  const auto chunk_bytes_result =
-      flags.GetInt("spill-chunk-bytes", 4ll << 20);
-  if (!chunk_bytes_result.ok()) return Fail(chunk_bytes_result.status());
-  const int64_t spill_chunk_bytes = chunk_bytes_result.value();
+  // and an out-of-range value is a typo worth rejecting before graph work
+  // starts.
   if (flags.Has("spill-chunk-bytes")) {
     if (spill_chunk_bytes <= 0) {
       return Fail(isa::Status::InvalidArgument(
@@ -179,24 +197,22 @@ int main(int argc, char** argv) {
           "--rr-memory-budget or drop --spill-chunk-bytes"));
     }
   }
-  const auto ring_depth_result = flags.GetInt("io-ring-depth", 16);
-  if (!ring_depth_result.ok()) return Fail(ring_depth_result.status());
-  const int64_t io_ring_depth = ring_depth_result.value();
   if (flags.Has("io-ring-depth")) {
     if (io_ring_depth < 1) {
       return Fail(isa::Status::InvalidArgument(
           "--io-ring-depth must be >= 1 outstanding read"));
+    }
+    if (io_ring_depth > isa::AsyncFileReader::kMaxDepth) {
+      return Fail(isa::Status::InvalidArgument(
+          "--io-ring-depth must be <= " +
+          std::to_string(isa::AsyncFileReader::kMaxDepth) +
+          " outstanding reads"));
     }
     if (rr_budget == 0) {
       return Fail(isa::Status::InvalidArgument(
           "--io-ring-depth only applies with a memory budget; add "
           "--rr-memory-budget or drop --io-ring-depth"));
     }
-  }
-  if (flags.Has("no-direct-io") && rr_budget == 0) {
-    return Fail(isa::Status::InvalidArgument(
-        "--no-direct-io only applies with a memory budget; add "
-        "--rr-memory-budget or drop --no-direct-io"));
   }
 
   // Deterministic fault injection: validate the whole spec up front (a
@@ -213,16 +229,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t seed =
-      static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
+  const auto seed = static_cast<uint64_t>(seed_flag);
 
   // ---- Graph. ----
   isa::Result<isa::graph::Graph> graph_result(
       isa::Status::InvalidArgument("need --graph or --synthetic"));
   const std::string path = flags.GetString("graph", "").value_or("");
   const std::string kind = flags.GetString("synthetic", "").value_or("");
-  const auto nodes = static_cast<isa::graph::NodeId>(
-      flags.GetInt("nodes", 10'000).value_or(10'000));
+  const auto nodes = static_cast<isa::graph::NodeId>(nodes_flag);
   if (!path.empty()) {
     graph_result = isa::graph::LoadEdgeListText(path);
   } else if (kind == "ba") {
@@ -257,14 +271,10 @@ int main(int argc, char** argv) {
   const auto& topics = topics_result.value();
 
   // ---- Advertisers & incentives. ----
-  const auto h =
-      static_cast<uint32_t>(flags.GetInt("ads", 3).value_or(3));
-  const double budget = flags.GetDouble("budget", 1000.0).value_or(1000.0);
-  const double cpe = flags.GetDouble("cpe", 1.0).value_or(1.0);
+  const auto h = static_cast<uint32_t>(ads_flag);
   auto model_result = isa::core::ParseIncentiveModel(
       flags.GetString("incentives", "linear").value_or("linear"));
   if (!model_result.ok()) return Fail(model_result.status());
-  const double alpha = flags.GetDouble("alpha", 0.2).value_or(0.2);
   if (h == 0 || budget <= 0 || cpe <= 0) {
     return Fail(isa::Status::InvalidArgument(
         "--ads, --budget and --cpe must be positive"));
@@ -289,25 +299,20 @@ int main(int argc, char** argv) {
 
   // ---- Algorithm. ----
   isa::core::TiOptions options;
-  options.epsilon = flags.GetDouble("epsilon", 0.3).value_or(0.3);
-  options.window =
-      static_cast<uint32_t>(flags.GetInt("window", 0).value_or(0));
-  options.theta_cap = static_cast<uint64_t>(
-      flags.GetInt("theta-cap", 500'000).value_or(500'000));
-  options.num_threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 0).value_or(0));
+  options.epsilon = epsilon;
+  options.window = static_cast<uint32_t>(window);
+  options.theta_cap = static_cast<uint64_t>(theta_cap);
+  options.num_threads = static_cast<uint32_t>(threads);
   options.seed = seed;
   options.share_samples =
       flags.GetBool("share-samples", false).value_or(false);
   options.async_growth =
       flags.GetBool("async-growth", false).value_or(false);
-  options.growth_delay_rounds =
-      static_cast<uint32_t>(flags.GetInt("growth-delay", 2).value_or(2));
+  options.growth_delay_rounds = static_cast<uint32_t>(growth_delay);
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
   options.io_ring_depth = static_cast<uint32_t>(io_ring_depth);
-  options.direct_io = !flags.GetBool("no-direct-io", false).value_or(false);
   const std::string prop = flags.GetString("model", "ic").value_or("ic");
   if (prop == "lt") {
     options.propagation = isa::rrset::DiffusionModel::kLinearThreshold;
@@ -396,12 +401,9 @@ int main(int argc, char** argv) {
                 (unsigned long long)result.total_recovered_sets,
                 (unsigned long long)result.total_growth_admission_caps);
     std::printf("cold-scan I/O: queue depth %u (peak %llu reads in "
-                "flight), %u stores O_DIRECT, %llu direct-read "
-                "fallbacks\n",
+                "flight)\n",
                 options.io_ring_depth,
-                (unsigned long long)result.total_reads_in_flight_peak,
-                result.stores_direct_io,
-                (unsigned long long)result.total_direct_fallbacks);
+                (unsigned long long)result.total_reads_in_flight_peak);
   }
 
   const std::string csv =
