@@ -17,16 +17,13 @@
 int main() {
   const double scale = isa::bench::EffectiveScale(0.05);
   std::printf("=== Ablation: independent vs hard-competition engagements "
-              "(EPINIONS*, scale %.2f) ===\n\n",
+              "(soc-epinions1, scale %.2f) ===\n\n",
               scale);
 
   isa::TableWriter table({"h", "independent engagements",
                           "competitive engagements", "overcount"});
   for (uint32_t h : {1u, 2u, 5u, 10u}) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale,
-                                2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadBenchDataset("soc-epinions1", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = h;
     opt.budget_min = opt.budget_max = 800 * scale * 10;

@@ -15,7 +15,7 @@
 
 int main() {
   const double scale = isa::bench::EffectiveScale(0.05);
-  std::printf("=== Ablation: incentive spread source (EPINIONS*, scale "
+  std::printf("=== Ablation: incentive spread source (soc-epinions1, scale "
               "%.2f) ===\n\n",
               scale);
 
@@ -34,11 +34,8 @@ int main() {
   };
 
   for (const auto& src : sources) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale, 2017),
-        "BuildDataset");
-    auto opt = isa::bench::QualityWorkload(isa::eval::DatasetId::kEpinions,
-                                           scale);
+    auto ds = isa::bench::LoadBenchDataset("soc-epinions1", scale);
+    auto opt = isa::bench::QualityWorkload("soc-epinions1", scale);
     opt.spread_source = src.source;
     if (src.effort > 0) opt.spread_effort = src.effort;
     opt.incentive_model = isa::core::IncentiveModel::kLinear;

@@ -15,17 +15,14 @@
 
 int main() {
   const double scale = isa::bench::EffectiveScale(0.2);
-  std::printf("=== Ablation: shared RR samples (EPINIONS*, pure "
+  std::printf("=== Ablation: shared RR samples (soc-epinions1, pure "
               "competition, scale %.2f) ===\n\n",
               scale);
 
   isa::TableWriter table({"h", "mode", "RR memory", "memory ratio",
                           "seconds", "revenue", "seeds"});
   for (uint32_t h : {2u, 5u, 10u, 20u}) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale,
-                                2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadBenchDataset("soc-epinions1", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = h;
     opt.budget_min = opt.budget_max = 1'000 * scale;

@@ -1,5 +1,5 @@
 // Figure 4: revenue vs running-time trade-off of TI-CSRM's window size w
-// on FLIXSTER* and EPINIONS* with linear incentives, α ∈ {0.2, 0.5}.
+// on flixster and soc-epinions1 with linear incentives, α ∈ {0.2, 0.5}.
 // Paper headline: revenue grows with w (maximum at w = n), running time
 // grows much faster; w = 1 behaves like TI-CARM's candidate rule.
 
@@ -19,15 +19,12 @@ int main() {
                           "seconds", "seeds", "theta total"});
   const uint32_t windows[] = {1, 50, 100, 250, 500, 1000, 2500, 5000, 0};
 
-  for (auto id :
-       {isa::eval::DatasetId::kFlixster, isa::eval::DatasetId::kEpinions}) {
-    auto ds = isa::bench::MustValue(isa::eval::BuildDataset(id, scale, 2017),
-                                    "BuildDataset");
-    const std::string name = ds->name;
-    auto workload = isa::bench::QualityWorkload(id, scale);
+  for (const char* name : {"flixster", "soc-epinions1"}) {
+    auto workload = isa::bench::QualityWorkload(name, scale);
     workload.incentive_model = isa::core::IncentiveModel::kLinear;
     auto setup = isa::bench::MustValue(
-        isa::eval::BuildExperiment(std::move(ds), workload),
+        isa::eval::BuildExperiment(isa::bench::LoadBenchDataset(name, scale),
+                                   workload),
         "BuildExperiment");
     for (double alpha : {0.2, 0.5}) {
       isa::bench::Check(
@@ -40,7 +37,7 @@ int main() {
         isa::Stopwatch watch;
         auto res = isa::core::RunTiCsrm(*setup.instance, opt);
         isa::bench::Check(res.status(), "TI-CSRM");
-        table.AddCell(name);
+        table.AddCell(std::string(name));
         table.AddCell(alpha, 1);
         table.AddCell(w == 0 ? std::string("n (full)")
                              : isa::StrFormat("%u", w));
@@ -49,7 +46,7 @@ int main() {
         table.AddCell(res.value().total_seeds);
         table.AddCell(res.value().total_theta);
         isa::bench::Check(table.EndRow(), "row");
-        std::fprintf(stderr, "  [%s alpha=%.1f w=%u] done\n", name.c_str(),
+        std::fprintf(stderr, "  [%s alpha=%.1f w=%u] done\n", name,
                      alpha, w);
       }
     }

@@ -2,8 +2,9 @@
 //
 // Paper: FLIXSTER 30K/425K (directed), EPINIONS 76K/509K (directed),
 // DBLP 317K/1.05M (undirected), LIVEJOURNAL 4.8M/69M (directed).
-// Ours are synthetic stand-ins (DESIGN.md §4); this bench prints their
-// realized statistics side by side with the paper's figures.
+// This bench loads every graph::DatasetCatalog entry (the real SNAP file
+// when $ISA_DATA_DIR holds it, else the synthetic fallback) and prints its
+// realized statistics side by side with the paper's figures from the spec.
 
 #include <cstdio>
 #include <iostream>
@@ -12,42 +13,22 @@
 #include "common/table_writer.h"
 #include "graph/stats.h"
 
-namespace {
-
-struct PaperRow {
-  isa::eval::DatasetId id;
-  const char* paper_nodes;
-  const char* paper_edges;
-  const char* paper_type;
-};
-
-}  // namespace
-
 int main() {
   const double scale = isa::bench::EffectiveScale(1.0);
-  std::printf("=== Table 1: dataset statistics (stand-ins at scale %.2f) "
-              "===\n\n",
-              scale);
-
-  const PaperRow rows[] = {
-      {isa::eval::DatasetId::kFlixster, "30K", "425K", "directed"},
-      {isa::eval::DatasetId::kEpinions, "76K", "509K", "directed"},
-      {isa::eval::DatasetId::kDblp, "317K", "1.05M", "undirected"},
-      {isa::eval::DatasetId::kLiveJournal, "4.8M", "69M", "directed"},
-  };
+  std::printf("=== Table 1: dataset statistics (scale %.2f) ===\n\n", scale);
 
   isa::TableWriter table({"dataset", "paper #nodes", "paper #edges",
                           "paper type", "ours #nodes", "ours #edges",
                           "ours type", "max outdeg", "max indeg",
                           "largest WCC"});
-  for (const PaperRow& row : rows) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(row.id, scale, 2017), "BuildDataset");
+  for (const isa::graph::DatasetSpec& spec :
+       isa::graph::DatasetCatalog::BuiltinSpecs()) {
+    auto ds = isa::bench::LoadBenchDataset(spec.name, scale);
     const auto stats = isa::graph::ComputeStats(ds->graph);
     table.AddCell(ds->name);
-    table.AddCell(std::string(row.paper_nodes));
-    table.AddCell(std::string(row.paper_edges));
-    table.AddCell(std::string(row.paper_type));
+    table.AddCell(uint64_t{spec.paper_nodes});
+    table.AddCell(spec.paper_edges);
+    table.AddCell(std::string(spec.undirected ? "undirected" : "directed"));
     table.AddCell(uint64_t{stats.num_nodes});
     table.AddCell(uint64_t{stats.num_edges});
     table.AddCell(std::string(stats.looks_bidirectional

@@ -1,5 +1,5 @@
 // Table 3: memory usage of TI-CARM vs TI-CSRM (window 5000) as the number
-// of advertisers h grows, on DBLP* and LIVEJOURNAL*.
+// of advertisers h grows, on com-dblp and soc-livejournal1.
 // Paper headline: memory grows linearly in h; TI-CSRM needs more memory
 // than TI-CARM (20–40% more on LIVEJOURNAL) because it selects more seeds
 // and therefore maintains larger RR samples. Paper also reports total seed
@@ -12,7 +12,7 @@
 // evidence for the index compaction.
 //
 // Budget sweep (out-of-core spill tier): the bench then re-runs TI-CSRM on
-// the DBLP* fixture with TiOptions::rr_memory_budget_bytes at 50% and 25%
+// the com-dblp fixture with TiOptions::rr_memory_budget_bytes at 50% and 25%
 // of the unbudgeted per-store footprint (and the 50% run additionally at 1
 // thread). Every budgeted run must reproduce the unbudgeted allocation,
 // revenue and θ bit for bit — spilling moves bytes, never results — and
@@ -63,22 +63,19 @@ int main() {
                           "index vs legacy"});
 
   const struct {
-    isa::eval::DatasetId id;
+    const char* name;
     double budget;
+    uint32_t max_h;  // soc-livejournal1 stops at h = 10 for runtime (same
+                     // reason as Figure 5)
   } plans[] = {
-      {isa::eval::DatasetId::kDblp, 1'500},
-      {isa::eval::DatasetId::kLiveJournal, 3'000},
+      {"com-dblp", 1'500, 20},
+      {"soc-livejournal1", 3'000, 10},
   };
 
   for (const auto& plan : plans) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(plan.id, scale, 2017), "BuildDataset");
-    const std::string name = ds->name;
-    // LIVEJOURNAL* stops at h = 10 for runtime (same reason as Figure 5).
-    const uint32_t max_h =
-        plan.id == isa::eval::DatasetId::kLiveJournal ? 10u : 20u;
+    const std::string name = plan.name;
     for (uint32_t h : {1u, 5u, 10u, 15u, 20u}) {
-      if (h > max_h) break;
+      if (h > plan.max_h) break;
       isa::eval::WorkloadOptions opt;
       opt.num_advertisers = h;
       opt.budget_min = opt.budget_max = plan.budget * scale;
@@ -88,10 +85,7 @@ int main() {
       opt.spread_source = isa::eval::SpreadSource::kOutDegreeProxy;
       auto setup = isa::bench::MustValue(
           isa::eval::BuildExperiment(
-              isa::bench::MustValue(
-                  isa::eval::BuildDataset(plan.id, scale, 2017),
-                  "BuildDataset"),
-              opt),
+              isa::bench::LoadBenchDataset(plan.name, scale), opt),
           "BuildExperiment");
 
       auto ti = isa::bench::QualityTiOptions();
@@ -141,16 +135,14 @@ int main() {
   table.Print(std::cout);
 
   // ---- Budget sweep: the out-of-core spill tier at paper-scale θ. ----
-  std::printf("\n=== Budget sweep: TI-CSRM resident vs spill (DBLP*, h=5) "
+  std::printf("\n=== Budget sweep: TI-CSRM resident vs spill (com-dblp, h=5) "
               "===\n\n");
   bool budget_mismatch = false;
   bool filters_dead = false;  // 25% row skipped nothing — see gate below
   bool recovery_ok = false;   // faulted-run row — see gate below
   std::vector<std::string> budget_rows;
   {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kDblp, scale, 2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadBenchDataset("com-dblp", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = 5;
     opt.budget_min = opt.budget_max = 1'500 * scale;

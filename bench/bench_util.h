@@ -1,10 +1,12 @@
 // Shared plumbing for the paper-reproduction bench binaries.
 //
 // Every bench runs standalone with no arguments (`for b in build/bench/*`).
-// Scale knobs:
+// Datasets come from graph::DatasetCatalog by name (com-dblp,
+// soc-epinions1, soc-livejournal1, flixster). Scale knobs:
 //   ISA_BENCH_SCALE   in (0, 1]  — multiplies dataset sizes (default varies
 //                                  per bench; chosen so the full suite runs
-//                                  in minutes on a laptop).
+//                                  in minutes on a laptop). Any other value
+//                                  aborts the bench.
 // Parameters that differ from the paper's (ε, θ caps, graph scale) are
 // chosen for laptop budgets and recorded in EXPERIMENTS.md; the comparisons
 // reproduce the paper's *shape*, not its absolute numbers.
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +29,8 @@
 #include "common/strings.h"
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
-#include "eval/datasets.h"
 #include "eval/workload.h"
+#include "graph/dataset_catalog.h"
 
 namespace isa::bench {
 
@@ -47,18 +50,41 @@ T MustValue(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
+/// Parses an ISA_BENCH_SCALE value: a number in (0, 1], else an error
+/// naming the variable.
+inline Result<double> ParseBenchScale(std::string_view raw) {
+  auto parsed = ParseDouble(raw);
+  if (!parsed.ok() || !(parsed.value() > 0.0 && parsed.value() <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("ISA_BENCH_SCALE=%.*s: expected a number in (0, 1]",
+                  static_cast<int>(raw.size()), raw.data()));
+  }
+  return parsed.value();
+}
+
 /// Effective scale for a bench whose built-in default is `bench_default`:
-/// the ISA_BENCH_SCALE env var, when set, overrides it.
+/// the ISA_BENCH_SCALE env var, when set, overrides it; a malformed or
+/// out-of-range value aborts the bench instead of running another scale.
 inline double EffectiveScale(double bench_default) {
   const char* raw = std::getenv("ISA_BENCH_SCALE");
   if (raw == nullptr) return bench_default;
-  return eval::BenchScaleFromEnv();
+  return MustValue(ParseBenchScale(raw), "ISA_BENCH_SCALE");
+}
+
+/// Loads the catalog dataset `name` at `scale` (seed 2017): the real file
+/// when $ISA_DATA_DIR holds it, else the synthetic fallback.
+inline std::unique_ptr<eval::Dataset> LoadBenchDataset(std::string_view name,
+                                                       double scale) {
+  auto spec = MustValue(graph::DatasetCatalog::Resolve(name), "Resolve");
+  graph::DatasetCatalog::Options options;
+  options.scale = scale;
+  return MustValue(eval::LoadDataset(spec, options), "LoadDataset");
 }
 
 /// The paper's per-dataset α grids (Figure 2/3 x-axes).
-inline std::vector<double> AlphaGrid(eval::DatasetId id,
+inline std::vector<double> AlphaGrid(std::string_view dataset,
                                      core::IncentiveModel model) {
-  const bool flixster = id == eval::DatasetId::kFlixster;
+  const bool flixster = dataset == "flixster";
   switch (model) {
     case core::IncentiveModel::kLinear:
       return {0.1, 0.2, 0.3, 0.4, 0.5};
@@ -82,12 +108,12 @@ inline std::vector<double> AlphaGrid(eval::DatasetId id,
 /// all ads to meet their budgets is less than n", i.e. the knapsack — not
 /// the partition matroid — is the binding constraint, and a linear budget
 /// scale on a sub-linear-spread stand-in would violate that design rule.
-inline eval::WorkloadOptions QualityWorkload(eval::DatasetId id,
+inline eval::WorkloadOptions QualityWorkload(std::string_view dataset,
                                              double scale) {
   eval::WorkloadOptions opt;
   opt.num_advertisers = 10;
   const double budget_scale = 0.5 * scale;
-  if (id == eval::DatasetId::kFlixster) {
+  if (dataset == "flixster") {
     opt.budget_min = 6'000 * budget_scale;
     opt.budget_max = 20'000 * budget_scale;
   } else {

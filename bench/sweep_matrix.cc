@@ -230,12 +230,6 @@ Result<std::vector<SweepCell>> ExpandMatrix(const SweepAxes& axes,
 
 namespace {
 
-// Per-(dataset, regime) materialization shared across that group's cells.
-struct DatasetEntry {
-  std::unique_ptr<eval::Dataset> dataset;
-  std::string source;
-};
-
 // Per-(dataset, regime, budget) instance shared across model/rule/variant
 // cells (the instance depends on neither the diffusion model nor the TI
 // rule — both live in TiOptions).
@@ -243,40 +237,29 @@ struct InstanceEntry {
   core::RmInstance instance;
 };
 
-Result<DatasetEntry*> GetDataset(
-    std::map<std::string, DatasetEntry>& cache, const SweepCell& cell,
-    const SweepRunOptions& options) {
+// Per-(dataset, regime) materialization shared across that group's cells.
+Result<const eval::Dataset*> GetDataset(
+    std::map<std::string, std::unique_ptr<eval::Dataset>>& cache,
+    const SweepCell& cell, const SweepRunOptions& options) {
   const std::string key =
       cell.dataset + "/" + graph::WeightingRegimeName(cell.regime);
   auto it = cache.find(key);
-  if (it != cache.end()) return &it->second;
+  if (it != cache.end()) return it->second.get();
 
+  auto spec = graph::DatasetCatalog::Resolve(cell.dataset);
+  if (!spec.ok()) return spec.status();
+  spec.value().regime = cell.regime;
   graph::DatasetCatalog::Options copt;
   copt.data_dir = options.data_dir;
   copt.scale = options.scale;
   copt.seed = options.seed;
-  auto loaded = graph::DatasetCatalog::Load(cell.dataset, cell.regime, copt);
-  if (!loaded.ok()) return loaded.status();
-
-  auto ds = std::make_unique<eval::Dataset>();
-  ds->name = cell.dataset;
-  ds->graph = std::move(loaded.value().graph);
-  auto topics = topic::TopicEdgeProbabilities::Create(
-      ds->graph, std::move(loaded.value().arc_weights));
-  if (!topics.ok()) return topics.status();
-  ds->topics = std::move(topics).value();
-  ds->num_topics = ds->topics.num_topics();
-
-  DatasetEntry entry;
-  entry.dataset = std::move(ds);
-  entry.source = loaded.value().source;
-  auto [pos, inserted] = cache.emplace(key, std::move(entry));
-  (void)inserted;
-  return &pos->second;
+  auto ds = eval::LoadDataset(spec.value(), copt);
+  if (!ds.ok()) return ds.status();
+  return cache.emplace(key, std::move(ds).value()).first->second.get();
 }
 
 Result<InstanceEntry*> GetInstance(
-    std::map<std::string, InstanceEntry>& cache, const DatasetEntry& de,
+    std::map<std::string, InstanceEntry>& cache, const eval::Dataset& ds,
     const SweepCell& cell, double effective_budget,
     const SweepRunOptions& options) {
   const std::string key =
@@ -286,7 +269,6 @@ Result<InstanceEntry*> GetInstance(
   auto it = cache.find(key);
   if (it != cache.end()) return &it->second;
 
-  const eval::Dataset& ds = *de.dataset;
   eval::WorkloadOptions wopt;
   wopt.num_advertisers = options.num_advertisers;
   wopt.budget_min = wopt.budget_max = effective_budget;
@@ -354,15 +336,15 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
     return Status::InvalidArgument("sweep scale must be in (0, 1]");
   }
   MatrixReport report;
-  std::map<std::string, DatasetEntry> datasets;
+  std::map<std::string, std::unique_ptr<eval::Dataset>> datasets;
   std::map<std::string, InstanceEntry> instances;
   std::map<std::string, GroupState> groups;
 
   for (const SweepCell& cell : cells) {
     const double effective_budget = cell.budget * options.scale;
-    auto de = GetDataset(datasets, cell, options);
-    if (!de.ok()) return de.status();
-    auto ie = GetInstance(instances, *de.value(), cell, effective_budget,
+    auto ds = GetDataset(datasets, cell, options);
+    if (!ds.ok()) return ds.status();
+    auto ie = GetInstance(instances, *ds.value(), cell, effective_budget,
                           options);
     if (!ie.ok()) return ie.status();
     const core::RmInstance& inst = ie.value()->instance;
@@ -403,10 +385,10 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
 
     CellOutcome out;
     out.cell = cell;
-    out.source = de.value()->source;
-    out.nodes = de.value()->dataset->graph.num_nodes();
-    out.arcs = de.value()->dataset->graph.num_edges();
-    out.topics = de.value()->dataset->num_topics;
+    out.source = ds.value()->source;
+    out.nodes = ds.value()->graph.num_nodes();
+    out.arcs = ds.value()->graph.num_edges();
+    out.topics = ds.value()->topics.num_topics();
     out.effective_budget = effective_budget;
     out.memory_budget_bytes = budget_bytes;
     out.revenue = r.total_revenue;

@@ -9,6 +9,22 @@
 
 namespace isa::eval {
 
+Result<std::unique_ptr<Dataset>> LoadDataset(
+    const graph::DatasetSpec& spec,
+    const graph::DatasetCatalog::Options& options) {
+  auto loaded = graph::DatasetCatalog::Load(spec, options);
+  if (!loaded.ok()) return loaded.status();
+  auto ds = std::make_unique<Dataset>();
+  ds->name = spec.name;
+  ds->source = std::move(loaded.value().source);
+  ds->graph = std::move(loaded.value().graph);
+  auto topics = topic::TopicEdgeProbabilities::Create(
+      ds->graph, std::move(loaded.value().arc_weights));
+  if (!topics.ok()) return topics.status();
+  ds->topics = std::move(topics).value();
+  return ds;
+}
+
 Result<std::vector<core::AdvertiserSpec>> MakeAdvertisers(
     const Dataset& dataset, const WorkloadOptions& options) {
   const uint32_t h = options.num_advertisers;
@@ -25,8 +41,9 @@ Result<std::vector<core::AdvertiserSpec>> MakeAdvertisers(
   // Topic distributions: pure-competition marketplace when the dataset has
   // multiple topics; otherwise all ads share the single topic.
   std::vector<topic::TopicDistribution> gammas;
-  if (dataset.num_topics > 1) {
-    auto mk = topic::MakePureCompetitionMarketplace(h, dataset.num_topics);
+  const uint32_t num_topics = dataset.topics.num_topics();
+  if (num_topics > 1) {
+    auto mk = topic::MakePureCompetitionMarketplace(h, num_topics);
     if (!mk.ok()) return mk.status();
     gammas = std::move(mk).value();
   } else {

@@ -1,23 +1,44 @@
-// Advertiser workload generation and full experiment assembly.
+// Dataset loading, advertiser workload generation and full experiment
+// assembly.
 //
-// Reproduces the paper's §5 setup: h advertisers whose budgets and CPE
-// values are drawn from the ranges of Table 2, topic distributions forming
-// the pure-competition marketplace (FLIXSTER, L = 10) or all-identical
-// (L = 1 datasets), and seed incentives computed from ad-specific singleton
-// spreads under one of the four incentive models.
+// Reproduces the paper's §5 setup: a named graph::DatasetCatalog dataset,
+// h advertisers whose budgets and CPE values are drawn from the ranges of
+// Table 2, topic distributions forming the pure-competition marketplace
+// (flixster, L = 10) or all-identical (L = 1 datasets), and seed
+// incentives computed from ad-specific singleton spreads under one of the
+// four incentive models.
 
 #ifndef ISA_EVAL_WORKLOAD_H_
 #define ISA_EVAL_WORKLOAD_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/incentives.h"
 #include "core/problem.h"
-#include "eval/datasets.h"
+#include "graph/dataset_catalog.h"
+#include "graph/graph.h"
+#include "topic/tic_model.h"
 
 namespace isa::eval {
+
+/// A materialized catalog dataset: graph + per-topic arc probabilities.
+/// Held by unique_ptr so the graph's address stays stable for the
+/// RmInstance that references it.
+struct Dataset {
+  std::string name;    // catalog name, e.g. "soc-epinions1"
+  std::string source;  // catalog provenance, e.g. "synthetic:powerlaw"
+  graph::Graph graph;
+  topic::TopicEdgeProbabilities topics;
+};
+
+/// graph::DatasetCatalog::Load followed by TopicEdgeProbabilities::Create
+/// over the spec's regime weights.
+Result<std::unique_ptr<Dataset>> LoadDataset(
+    const graph::DatasetSpec& spec,
+    const graph::DatasetCatalog::Options& options);
 
 /// How σ_i({u}) is obtained for incentive assignment.
 enum class SpreadSource {
@@ -58,7 +79,7 @@ struct ExperimentSetup {
 };
 
 /// Draws advertiser specs (budgets, CPEs, topic distributions) for the
-/// dataset. FLIXSTER*-style multi-topic datasets get the pure-competition
+/// dataset. Multi-topic datasets (flixster) get the pure-competition
 /// marketplace; single-topic datasets give every ad the same distribution
 /// (full competition), matching §5.
 Result<std::vector<core::AdvertiserSpec>> MakeAdvertisers(

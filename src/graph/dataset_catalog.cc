@@ -70,38 +70,66 @@ uint32_t ScaledPow2(uint32_t base_pow, double scale) {
   return s;
 }
 
+// The generator's realized inputs at `scale`: node count (2^rmat_pow for
+// R-MAT) and arc target (R-MAT / power-law; BA takes edges_per_node).
+struct FallbackSize {
+  NodeId nodes = 0;
+  uint64_t edges = 0;
+  uint32_t rmat_pow = 0;
+};
+
+FallbackSize ScaleFallback(const DatasetSpec& spec, double scale) {
+  FallbackSize out;
+  switch (spec.fallback) {
+    case DatasetSpec::Fallback::kBarabasiAlbert:
+      out.nodes = std::max<NodeId>(
+          64, static_cast<NodeId>(spec.fallback_nodes * scale));
+      break;
+    case DatasetSpec::Fallback::kRmat: {
+      uint32_t base_pow = 1;
+      while ((1u << base_pow) < spec.fallback_nodes) ++base_pow;
+      out.rmat_pow = ScaledPow2(base_pow, scale);
+      out.nodes = NodeId{1} << out.rmat_pow;
+      out.edges = static_cast<uint64_t>(
+          static_cast<double>(spec.fallback_edges) *
+          std::pow(2.0, static_cast<int>(out.rmat_pow) -
+                            static_cast<int>(base_pow)));
+      break;
+    }
+    case DatasetSpec::Fallback::kPowerLaw:
+      out.nodes = std::max<NodeId>(
+          64, static_cast<NodeId>(spec.fallback_nodes * scale));
+      out.edges = std::max<uint64_t>(
+          128, static_cast<uint64_t>(spec.fallback_edges * scale));
+      break;
+  }
+  return out;
+}
+
 Result<Graph> GenerateFallback(const DatasetSpec& spec,
                                const DatasetCatalog::Options& options) {
   const uint64_t seed = HashSeed(spec.fallback_seed, options.seed);
+  const FallbackSize size = ScaleFallback(spec, options.scale);
   switch (spec.fallback) {
     case DatasetSpec::Fallback::kBarabasiAlbert: {
       BarabasiAlbertOptions opt;
-      opt.num_nodes = std::max<NodeId>(
-          64, static_cast<NodeId>(spec.fallback_nodes * options.scale));
+      opt.num_nodes = size.nodes;
       opt.edges_per_node = spec.fallback_edges_per_node;
       opt.bidirectional = spec.fallback_bidirectional;
       opt.seed = seed;
       return GenerateBarabasiAlbert(opt);
     }
     case DatasetSpec::Fallback::kRmat: {
-      uint32_t base_pow = 1;
-      while ((1u << base_pow) < spec.fallback_nodes) ++base_pow;
       RmatOptions opt;
-      opt.scale = ScaledPow2(base_pow, options.scale);
-      opt.num_edges = static_cast<uint64_t>(
-          static_cast<double>(spec.fallback_edges) *
-          std::pow(2.0, static_cast<int>(opt.scale) -
-                            static_cast<int>(base_pow)));
+      opt.scale = size.rmat_pow;
+      opt.num_edges = size.edges;
       opt.seed = seed;
       return GenerateRmat(opt);
     }
     case DatasetSpec::Fallback::kPowerLaw: {
       PowerLawOptions opt;
-      opt.num_nodes = std::max<NodeId>(
-          64, static_cast<NodeId>(spec.fallback_nodes * options.scale));
-      opt.num_edges = std::max<uint64_t>(
-          128,
-          static_cast<uint64_t>(spec.fallback_edges * options.scale));
+      opt.num_nodes = size.nodes;
+      opt.num_edges = size.edges;
       opt.exponent = 2.0;
       opt.seed = seed;
       return GeneratePowerLaw(opt);
@@ -110,18 +138,19 @@ Result<Graph> GenerateFallback(const DatasetSpec& spec,
   return Status::InvalidArgument("unknown fallback family");
 }
 
-// Cache key for the generated fallback: anything that changes the graph
-// (family, size targets, scale, seeds) must change the file name, so a
-// stale cache can never be confused for the requested graph.
+// Cache key for the generated fallback: every generator input (family,
+// realized node count and arc target, attachment arcs, direction, seeds)
+// is in the file name, so a stale cache can never be confused for the
+// requested graph. The scale itself is not: two scales that realize the
+// same sizes share one graph, and two that do not never share a name.
 std::string CacheFileName(const DatasetSpec& spec,
                           const DatasetCatalog::Options& options) {
-  return StrFormat("%s.synthetic-%s-n%u-m%llu-e%u%s-s%.4f-r%llu-r%llu.bin",
+  const FallbackSize size = ScaleFallback(spec, options.scale);
+  return StrFormat("%s.synthetic-%s-n%u-m%llu-e%u%s-r%llu-r%llu.bin",
                    spec.name.c_str(), FallbackName(spec.fallback),
-                   spec.fallback_nodes,
-                   static_cast<unsigned long long>(spec.fallback_edges),
+                   size.nodes, static_cast<unsigned long long>(size.edges),
                    spec.fallback_edges_per_node,
                    spec.fallback_bidirectional ? "-bidi" : "",
-                   options.scale,
                    static_cast<unsigned long long>(spec.fallback_seed),
                    static_cast<unsigned long long>(options.seed));
 }
@@ -226,6 +255,23 @@ const std::vector<DatasetSpec>& DatasetCatalog::BuiltinSpecs() {
       s.fallback_edges = 508'837;
       s.paper_nodes = 75'879;
       s.paper_edges = 508'837;
+      specs->push_back(std::move(s));
+    }
+    {
+      // FLIXSTER (the paper's TIC dataset, 30K users / 425K arcs, L = 10
+      // learned topics) is not publicly redistributable: the fallback is
+      // an R-MAT stand-in (2^15 nodes / 425K arcs at scale 1) and the
+      // topic-mix regime stands in for the MLE-learned probabilities.
+      DatasetSpec s;
+      s.name = "flixster";
+      s.files = {"flixster.txt", "flixster.txt.gz"};
+      s.regime = WeightingRegime::kTopicMix;
+      s.topic_mix_topics = 10;
+      s.fallback = DatasetSpec::Fallback::kRmat;
+      s.fallback_nodes = 32'768;
+      s.fallback_edges = 425'000;
+      s.paper_nodes = 30'000;
+      s.paper_edges = 425'000;
       specs->push_back(std::move(s));
     }
     return specs;

@@ -1,7 +1,8 @@
 // Named real-dataset resolution for the paper's evaluation graphs.
 //
-// The paper evaluates on SNAP graphs (com-DBLP, LiveJournal, Epinions).
-// `DatasetCatalog` resolves a dataset NAME to a graph plus per-arc
+// The paper evaluates on FLIXSTER and three SNAP graphs (com-DBLP,
+// LiveJournal, Epinions). `DatasetCatalog` is the one place a named
+// dataset comes from: it resolves a NAME to a graph plus per-arc
 // influence weights, in three steps:
 //
 //   1. a SNAP edge-list file under the data directory ($ISA_DATA_DIR or
@@ -22,8 +23,8 @@
 // EPINIONS/DBLP/LIVEJOURNAL setting), uniform-IC (constant p), or
 // topic-mix (L degree-scaled random topic layers, the FLIXSTER-style TIC
 // marketplace) weights. The weights are returned as raw per-topic arrays
-// indexed by forward EdgeId — this layer sits below src/topic, so callers
-// wrap them in topic::TopicEdgeProbabilities themselves.
+// indexed by forward EdgeId — this layer sits below src/topic, so
+// eval::LoadDataset wraps them in topic::TopicEdgeProbabilities.
 
 #ifndef ISA_GRAPH_DATASET_CATALOG_H_
 #define ISA_GRAPH_DATASET_CATALOG_H_
@@ -116,7 +117,7 @@ class DatasetCatalog {
   };
 
   /// The built-in entries: "com-dblp", "soc-livejournal1",
-  /// "soc-epinions1".
+  /// "soc-epinions1", "flixster".
   static const std::vector<DatasetSpec>& BuiltinSpecs();
   static std::vector<std::string> Names();
 
@@ -135,7 +136,9 @@ class DatasetCatalog {
 };
 
 /// Computes the regime's per-topic arc weights for an already-built graph
-/// (exposed for tests: hand-checkable against in-degrees).
+/// — the one arc-weighting implementation (topic::MakeWeightedCascade,
+/// MakeUniform and MakeDegreeScaledRandom wrap it). Weighted cascade and
+/// uniform-IC return one layer; topic-mix returns `topic_mix_topics`.
 Result<std::vector<std::vector<double>>> MakeRegimeWeights(
     const Graph& graph, WeightingRegime regime, uint32_t topic_mix_topics,
     double uniform_p, uint64_t seed);

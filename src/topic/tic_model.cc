@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "graph/dataset_catalog.h"
 
 namespace isa::topic {
 
@@ -34,18 +35,33 @@ uint64_t TopicEdgeProbabilities::MemoryBytes() const {
   return bytes;
 }
 
+namespace {
+
+// The catalog's weights for `regime` (graph::MakeRegimeWeights), one layer
+// per topic: topic-mix draws each layer, the single-layer regimes repeat
+// theirs.
+Result<TopicEdgeProbabilities> FromRegime(const graph::Graph& g,
+                                          graph::WeightingRegime regime,
+                                          uint32_t num_topics,
+                                          double uniform_p, uint64_t seed,
+                                          const char* what) {
+  if (num_topics == 0) {
+    return Status::InvalidArgument(StrFormat("%s: num_topics == 0", what));
+  }
+  auto weights =
+      graph::MakeRegimeWeights(g, regime, num_topics, uniform_p, seed);
+  if (!weights.ok()) return weights.status();
+  std::vector<std::vector<double>> per_topic = std::move(weights).value();
+  while (per_topic.size() < num_topics) per_topic.push_back(per_topic[0]);
+  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
+}
+
+}  // namespace
+
 Result<TopicEdgeProbabilities> MakeWeightedCascade(const graph::Graph& g,
                                                    uint32_t num_topics) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeWeightedCascade: num_topics == 0");
-  }
-  std::vector<double> probs(g.num_edges());
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const graph::NodeId dst = g.EdgeDst(e);
-    probs[e] = 1.0 / static_cast<double>(g.InDegree(dst));
-  }
-  std::vector<std::vector<double>> per_topic(num_topics, probs);
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
+  return FromRegime(g, graph::WeightingRegime::kWeightedCascade, num_topics,
+                    0.0, 0, "MakeWeightedCascade");
 }
 
 Result<TopicEdgeProbabilities> MakeTrivalency(const graph::Graph& g,
@@ -69,34 +85,15 @@ Result<TopicEdgeProbabilities> MakeTrivalency(const graph::Graph& g,
 
 Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
                                            uint32_t num_topics, double p) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeUniform: num_topics == 0");
-  }
-  if (p < 0.0 || p > 1.0) {
-    return Status::InvalidArgument("MakeUniform: p outside [0,1]");
-  }
-  std::vector<std::vector<double>> per_topic(
-      num_topics, std::vector<double>(g.num_edges(), p));
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
+  return FromRegime(g, graph::WeightingRegime::kUniformIc, num_topics, p, 0,
+                    "MakeUniform");
 }
 
 Result<TopicEdgeProbabilities> MakeDegreeScaledRandom(const graph::Graph& g,
                                                       uint32_t num_topics,
                                                       uint64_t seed) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeDegreeScaledRandom: num_topics == 0");
-  }
-  std::vector<std::vector<double>> per_topic(num_topics);
-  for (uint32_t z = 0; z < num_topics; ++z) {
-    Rng rng(HashSeed(seed, 0x7091c + z));
-    auto& arr = per_topic[z];
-    arr.resize(g.num_edges());
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const graph::NodeId dst = g.EdgeDst(e);
-      arr[e] = rng.NextDouble() / static_cast<double>(g.InDegree(dst));
-    }
-  }
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
+  return FromRegime(g, graph::WeightingRegime::kTopicMix, num_topics, 0.0,
+                    seed, "MakeDegreeScaledRandom");
 }
 
 Result<AdProbabilities> AdProbabilities::Mix(

@@ -42,6 +42,11 @@ class TopicEdgeProbabilities {
   std::vector<std::vector<double>> p_;
 };
 
+// The weighted-cascade, uniform and degree-scaled factories wrap
+// graph::MakeRegimeWeights, the catalog's regimes — one arc-weighting
+// implementation, so the same (graph, seed) gives the same numbers whether
+// a bench builds its weights here or loads a catalog dataset.
+
 /// Weighted-Cascade probabilities (Kempe et al.): p_{u,v} = 1 / indeg(v),
 /// identical across all L topics. The paper uses this (with L = 1) for
 /// EPINIONS, DBLP and LIVEJOURNAL.
@@ -60,7 +65,8 @@ Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
 
 /// Degree-scaled random: per (arc, topic), U(0,1) / indeg(dst) — a rough
 /// stand-in for MLE-learned Flixster probabilities: heterogeneous across
-/// topics with weighted-cascade scale. Deterministic in `seed`.
+/// topics with weighted-cascade scale. Deterministic in `seed`; the
+/// catalog's topic-mix regime.
 Result<TopicEdgeProbabilities> MakeDegreeScaledRandom(const graph::Graph& g,
                                                       uint32_t num_topics,
                                                       uint64_t seed);

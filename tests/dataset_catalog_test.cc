@@ -117,7 +117,7 @@ TEST(MiniSnapFixtureTest, GzipDetectedByMagicNotExtension) {
 
 TEST(DatasetCatalogTest, BuiltinNamesAndResolve) {
   const auto names = DatasetCatalog::Names();
-  ASSERT_EQ(names.size(), 3u);
+  ASSERT_EQ(names.size(), 4u);
   for (const std::string& name : names) {
     auto spec = DatasetCatalog::Resolve(name);
     ASSERT_TRUE(spec.ok()) << name;
@@ -205,6 +205,34 @@ TEST(DatasetCatalogTest, SyntheticCacheRoundTrip) {
   EXPECT_EQ(third.value().source, "synthetic:ba");
   EXPECT_LT(third.value().graph.num_nodes(),
             first.value().graph.num_nodes());
+  // Scales that print alike ("%.4f" gives 0.0100 for both) but realize
+  // different node counts (3,173 vs 3,183) must not share a cache file.
+  auto near_a = opt;
+  near_a.scale = 0.01001;
+  auto near_b = opt;
+  near_b.scale = 0.01004;
+  auto fourth = DatasetCatalog::Load(
+      "com-dblp", WeightingRegime::kWeightedCascade, near_a);
+  ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
+  EXPECT_EQ(fourth.value().source, "synthetic:ba");
+  EXPECT_EQ(fourth.value().graph.num_nodes(), 3'173u);
+  auto fifth = DatasetCatalog::Load(
+      "com-dblp", WeightingRegime::kWeightedCascade, near_b);
+  ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
+  EXPECT_EQ(fifth.value().source, "synthetic:ba");
+  EXPECT_EQ(fifth.value().graph.num_nodes(), 3'183u);
+}
+
+TEST(DatasetCatalogTest, RejectsBadScale) {
+  DatasetCatalog::Options opt;
+  opt.data_dir = MakeTempDir("scale");
+  for (double scale : {0.0, -0.5, 1.5}) {
+    opt.scale = scale;
+    EXPECT_FALSE(DatasetCatalog::Load(
+                     "com-dblp", WeightingRegime::kWeightedCascade, opt)
+                     .ok())
+        << scale;
+  }
 }
 
 // --- Weighting regimes ----------------------------------------------------

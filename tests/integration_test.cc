@@ -2,20 +2,24 @@
 // independent MC evaluation. These mirror what the benchmark harness does,
 // at a tiny scale.
 
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "core/spread_oracle.h"
 #include "core/ti_greedy.h"
-#include "eval/datasets.h"
 #include "eval/workload.h"
+#include "tests/test_util.h"
 
 namespace isa {
 namespace {
 
-eval::ExperimentSetup MakeSetup(eval::DatasetId id,
+using test::TinyDataset;
+
+eval::ExperimentSetup MakeSetup(std::string_view dataset,
                                 core::IncentiveModel model, double alpha) {
-  auto ds = eval::BuildDataset(id, /*scale=*/0.02, /*seed=*/5);
-  EXPECT_TRUE(ds.ok());
+  auto ds = TinyDataset(dataset);
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
   eval::WorkloadOptions opt;
   opt.num_advertisers = 4;
   opt.budget_min = 60;
@@ -38,7 +42,7 @@ core::TiOptions FastTi() {
 }
 
 TEST(IntegrationTest, AllFourAlgorithmsProduceFeasibleAllocations) {
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.2);
   const core::RmInstance& inst = *setup.instance;
 
@@ -60,7 +64,7 @@ TEST(IntegrationTest, CsrmBeatsOrMatchesCarmOnLinearIncentives) {
   // The paper's headline quality finding (Fig. 2): under skewed (linear)
   // incentives the cost-sensitive algorithm achieves at least as much
   // revenue. We assert a softened version robust to estimation noise.
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.5);
   auto carm = core::RunTiCarm(*setup.instance, FastTi());
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
@@ -79,7 +83,7 @@ TEST(IntegrationTest, ConstantIncentivesEqualizeCarmAndCsrm) {
   // Paper: "for the constant incentive model, the advantage of being
   // cost-sensitive is nullified, hence TI-CARM and TI-CSRM end up
   // performing identically".
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kConstant, 0.2);
   auto carm = core::RunTiCarm(*setup.instance, FastTi());
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
@@ -91,7 +95,7 @@ TEST(IntegrationTest, ConstantIncentivesEqualizeCarmAndCsrm) {
 TEST(IntegrationTest, HigherAlphaNeverHelpsRevenue) {
   // Raising every incentive (alpha) shrinks the budget left for
   // engagements; revenue should not increase materially.
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.1);
   auto cheap = core::RunTiCsrm(*setup.instance, FastTi());
   ASSERT_TRUE(cheap.ok());
@@ -105,7 +109,7 @@ TEST(IntegrationTest, HigherAlphaNeverHelpsRevenue) {
 }
 
 TEST(IntegrationTest, TicMultiTopicPipeline) {
-  auto setup = MakeSetup(eval::DatasetId::kFlixster,
+  auto setup = MakeSetup("flixster",
                          core::IncentiveModel::kSublinear, 1.0);
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
   ASSERT_TRUE(csrm.ok());
@@ -115,7 +119,7 @@ TEST(IntegrationTest, TicMultiTopicPipeline) {
 }
 
 TEST(IntegrationTest, MoreAdvertisersMoreTotalWork) {
-  auto ds2 = eval::BuildDataset(eval::DatasetId::kDblp, 0.02, 5);
+  auto ds2 = TinyDataset("com-dblp");
   ASSERT_TRUE(ds2.ok());
   eval::WorkloadOptions opt;
   opt.num_advertisers = 2;
@@ -124,7 +128,7 @@ TEST(IntegrationTest, MoreAdvertisersMoreTotalWork) {
   auto setup2 = eval::BuildExperiment(std::move(ds2).value(), opt);
   ASSERT_TRUE(setup2.ok());
 
-  auto ds6 = eval::BuildDataset(eval::DatasetId::kDblp, 0.02, 5);
+  auto ds6 = TinyDataset("com-dblp");
   ASSERT_TRUE(ds6.ok());
   opt.num_advertisers = 6;
   auto setup6 = eval::BuildExperiment(std::move(ds6).value(), opt);

@@ -1,13 +1,16 @@
 // Sweep-matrix expander tests: cell-count arithmetic, stable ids and
 // ordering, invalid-combination skipping, --only filter semantics, and a
 // tiny RunMatrix exercising the group determinism gate in-process (the
-// full mini-matrix runs as the ctest entry sweep.mini_matrix).
+// full mini-matrix runs as the ctest entry sweep.mini_matrix), plus the
+// ISA_BENCH_SCALE parse the sweep's --scale default shares with the benches.
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "bench/sweep_matrix.h"
 
 namespace isa::bench {
@@ -200,6 +203,36 @@ TEST(SweepRunTest, ThreadVariantsAreBitIdenticalAndReported) {
   EXPECT_NE(json.find("\"determinism_ok\": true"), std::string::npos);
   EXPECT_NE(json.find("com-dblp/wc/ic/carm/b1500/m0/t2"),
             std::string::npos);
+}
+
+// --- ISA_BENCH_SCALE ------------------------------------------------------
+
+TEST(BenchScaleTest, DefaultsToOne) {
+  // Unset: each bench's own default (isa_sweep's is 1.0).
+  unsetenv("ISA_BENCH_SCALE");
+  EXPECT_DOUBLE_EQ(EffectiveScale(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(EffectiveScale(0.12), 0.12);
+  setenv("ISA_BENCH_SCALE", "0.25", 1);
+  EXPECT_DOUBLE_EQ(EffectiveScale(1.0), 0.25);
+  unsetenv("ISA_BENCH_SCALE");
+  EXPECT_DOUBLE_EQ(ParseBenchScale("1").value(), 1.0);
+  // Malformed or outside (0, 1]: an error naming the variable, never a
+  // default or a clamped value.
+  for (const char* bad :
+       {"junk", "0,1", "", "0", "-0.5", "7.0", "1.0001", "nan"}) {
+    auto parsed = ParseBenchScale(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.status().message().find("ISA_BENCH_SCALE"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(BenchScaleDeathTest, BadValueAbortsInsteadOfRunningAnotherScale) {
+  setenv("ISA_BENCH_SCALE", "0,1", 1);
+  EXPECT_EXIT(EffectiveScale(0.12), ::testing::ExitedWithCode(1),
+              "ISA_BENCH_SCALE");
+  unsetenv("ISA_BENCH_SCALE");
 }
 
 }  // namespace

@@ -4,10 +4,15 @@
 #define ISA_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "core/problem.h"
+#include "eval/workload.h"
 #include "graph/graph.h"
 #include "topic/tic_model.h"
 #include "topic/topic_distribution.h"
@@ -77,6 +82,21 @@ inline OwnedInstance MakeTightnessGadget() {
   incentives[kA] = 0.5;
   incentives[kC] = 0.5;
   return MakeInstance(9, std::move(edges), 1.0, {ad}, {incentives});
+}
+
+/// The catalog dataset `name`'s synthetic fallback at tiny scale (0.02,
+/// seed 5). The data dir is a path that never exists, so no file or cache
+/// is read or written whatever $ISA_DATA_DIR says.
+inline Result<std::unique_ptr<eval::Dataset>> TinyDataset(
+    std::string_view name) {
+  auto spec = graph::DatasetCatalog::Resolve(name);
+  if (!spec.ok()) return spec.status();
+  graph::DatasetCatalog::Options opt;
+  opt.data_dir = ::testing::TempDir() + "/isa_test_no_data_dir";
+  opt.cache_synthetic = false;
+  opt.scale = 0.02;
+  opt.seed = 5;
+  return eval::LoadDataset(spec.value(), opt);
 }
 
 /// A 4-node diamond with heterogeneous probabilities, for estimator tests:

@@ -1,7 +1,10 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
-#include "eval/datasets.h"
 #include "eval/workload.h"
+#include "tests/test_util.h"
+#include "topic/topic_distribution.h"
 
 namespace isa::eval {
 namespace {
@@ -15,39 +18,51 @@ WorkloadOptions SmallOptions() {
   return opt;
 }
 
+using test::TinyDataset;
+
 TEST(DatasetTest, AllStandInsBuildAtTinyScale) {
-  for (auto id : {DatasetId::kFlixster, DatasetId::kEpinions,
-                  DatasetId::kDblp, DatasetId::kLiveJournal}) {
-    auto ds = BuildDataset(id, /*scale=*/0.02, /*seed=*/5);
-    ASSERT_TRUE(ds.ok()) << DatasetName(id) << ": " << ds.status().ToString();
-    EXPECT_GT(ds.value()->graph.num_nodes(), 0u);
-    EXPECT_GT(ds.value()->graph.num_edges(), 0u);
+  for (const std::string& name : graph::DatasetCatalog::Names()) {
+    auto spec = graph::DatasetCatalog::Resolve(name);
+    ASSERT_TRUE(spec.ok()) << name;
+    auto ds = TinyDataset(name);
+    ASSERT_TRUE(ds.ok()) << name << ": " << ds.status().ToString();
+    EXPECT_EQ(ds.value()->name, name);
+    EXPECT_EQ(ds.value()->source.rfind("synthetic:", 0), 0u)
+        << ds.value()->source;
+    EXPECT_GT(ds.value()->graph.num_nodes(), 0u) << name;
+    EXPECT_GT(ds.value()->graph.num_edges(), 0u) << name;
     EXPECT_EQ(ds.value()->topics.num_edges(),
               ds.value()->graph.num_edges());
-    EXPECT_EQ(ds.value()->topics.num_topics(), ds.value()->num_topics);
+    const uint32_t expected_topics =
+        spec.value().regime == graph::WeightingRegime::kTopicMix
+            ? spec.value().topic_mix_topics
+            : 1u;
+    EXPECT_EQ(ds.value()->topics.num_topics(), expected_topics) << name;
   }
 }
 
 TEST(DatasetTest, FlixsterHasTenTopics) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
-  ASSERT_TRUE(ds.ok());
-  EXPECT_EQ(ds.value()->num_topics, 10u);
-}
-
-TEST(DatasetTest, DeterministicInSeed) {
-  auto a = BuildDataset(DatasetId::kEpinions, 0.02, 9);
-  auto b = BuildDataset(DatasetId::kEpinions, 0.02, 9);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value()->graph.num_edges(), b.value()->graph.num_edges());
-}
-
-TEST(DatasetTest, RejectsBadScale) {
-  EXPECT_FALSE(BuildDataset(DatasetId::kDblp, 0.0).ok());
-  EXPECT_FALSE(BuildDataset(DatasetId::kDblp, 1.5).ok());
+  auto ds = TinyDataset("flixster");
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(ds.value()->topics.num_topics(), 10u);
+  // Ten topics make MakeAdvertisers draw the pure-competition marketplace.
+  auto opt = SmallOptions();
+  opt.num_advertisers = 6;
+  auto ads = MakeAdvertisers(*ds.value(), opt);
+  ASSERT_TRUE(ads.ok()) << ads.status().ToString();
+  auto market = topic::MakePureCompetitionMarketplace(6, 10);
+  ASSERT_TRUE(market.ok());
+  for (uint32_t i = 0; i < 6; ++i) {
+    ASSERT_EQ(ads.value()[i].gamma.num_topics(), 10u);
+    for (uint32_t z = 0; z < 10; ++z) {
+      EXPECT_EQ(ads.value()[i].gamma.weight(z), market.value()[i].weight(z))
+          << "ad " << i << " topic " << z;
+    }
+  }
 }
 
 TEST(MakeAdvertisersTest, BudgetsAndCpesInRange) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = TinyDataset("soc-epinions1");
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   auto ads = MakeAdvertisers(*ds.value(), opt);
@@ -63,7 +78,7 @@ TEST(MakeAdvertisersTest, BudgetsAndCpesInRange) {
 }
 
 TEST(MakeAdvertisersTest, MultiTopicMarketplacePairs) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
+  auto ds = TinyDataset("flixster");
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   opt.num_advertisers = 6;
@@ -76,7 +91,7 @@ TEST(MakeAdvertisersTest, MultiTopicMarketplacePairs) {
 }
 
 TEST(MakeAdvertisersTest, RejectsBadRanges) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = TinyDataset("soc-epinions1");
   ASSERT_TRUE(ds.ok());
   WorkloadOptions opt = SmallOptions();
   opt.budget_min = -1;
@@ -90,7 +105,7 @@ TEST(MakeAdvertisersTest, RejectsBadRanges) {
 }
 
 TEST(SingletonSpreadsTest, ProxySharedAcrossAds) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = TinyDataset("soc-epinions1");
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   auto ads = MakeAdvertisers(*ds.value(), opt).value();
@@ -101,7 +116,7 @@ TEST(SingletonSpreadsTest, ProxySharedAcrossAds) {
 }
 
 TEST(SingletonSpreadsTest, RrEstimateProducesPerAdValues) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
+  auto ds = TinyDataset("flixster");
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   opt.num_advertisers = 4;
@@ -117,7 +132,7 @@ TEST(SingletonSpreadsTest, RrEstimateProducesPerAdValues) {
 }
 
 TEST(BuildExperimentTest, EndToEndAssembly) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = TinyDataset("soc-epinions1");
   ASSERT_TRUE(ds.ok());
   auto setup = BuildExperiment(std::move(ds).value(), SmallOptions());
   ASSERT_TRUE(setup.ok());
@@ -127,7 +142,7 @@ TEST(BuildExperimentTest, EndToEndAssembly) {
 }
 
 TEST(BuildExperimentTest, RebuildSwapsIncentives) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = TinyDataset("soc-epinions1");
   ASSERT_TRUE(ds.ok());
   auto setup = BuildExperiment(std::move(ds).value(), SmallOptions());
   ASSERT_TRUE(setup.ok());
@@ -142,18 +157,6 @@ TEST(BuildExperimentTest, RebuildSwapsIncentives) {
 
 TEST(BuildExperimentTest, NullDatasetRejected) {
   EXPECT_FALSE(BuildExperiment(nullptr, SmallOptions()).ok());
-}
-
-TEST(BenchScaleTest, DefaultsToOne) {
-  unsetenv("ISA_BENCH_SCALE");
-  EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);
-  setenv("ISA_BENCH_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 0.25);
-  setenv("ISA_BENCH_SCALE", "junk", 1);
-  EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);
-  setenv("ISA_BENCH_SCALE", "7.0", 1);
-  EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);  // clamped
-  unsetenv("ISA_BENCH_SCALE");
 }
 
 }  // namespace
