@@ -236,17 +236,17 @@ uint32_t RrCollection::RemoveCoveredBy(graph::NodeId v,
   // beyond the scan's max_id. Reuse a scan started by
   // PrefetchRemoveCoveredBy when it matches this node (its chunk
   // selection depends only on v and immutable footers, so starting early
-  // changes nothing); a stale scan for another node is discarded — its
-  // destructor drains the in-flight read.
+  // changes nothing); a stale scan for another node is discarded first —
+  // its destructor drains the in-flight reads — so two cursors never hold
+  // buffers and reads on one store at once.
   std::unique_ptr<RrStore::ColdScan> cold;
-  if (pending_cold_ != nullptr && pending_cold_node_ == v) {
-    cold = std::move(pending_cold_);
-  } else if (store_->first_resident_set() > 0) {
+  if (pending_cold_node_ == v) cold = std::move(pending_cold_);
+  pending_cold_.reset();
+  pending_cold_node_ = kInvalidNode;
+  if (cold == nullptr && store_->first_resident_set() > 0) {
     cold = store_->StartColdScan(
         v, std::min(theta_, store_->first_resident_set()), pool, alive_);
   }
-  pending_cold_.reset();
-  pending_cold_node_ = kInvalidNode;
 
   if (cold == nullptr) {
     // Resident-only store (or a fully filtered cold tier): stream the hot
@@ -262,9 +262,9 @@ uint32_t RrCollection::RemoveCoveredBy(graph::NodeId v,
     // the cold apply cannot change either for hot ids) while the cold
     // chunks stream in, then apply cold before hot, each ascending — the
     // exact call sequence of the streaming path above on a resident-only
-    // store. The alive filter goes in as the scan's candidate predicate:
-    // old spilled sets are mostly covered already, and filtering before
-    // the membership scan keeps the scan from even reading their members.
+    // store. The alive flags go in as the scan's filter: old spilled sets
+    // are mostly covered already, so whole dead chunks are skipped before
+    // any read and dead sets holding v are never re-applied.
     hot_matches_.clear();
     store_->ForEachSetContaining(v, [&](uint32_t r) {
       if (r >= theta_) return false;

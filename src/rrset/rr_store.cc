@@ -20,6 +20,49 @@ namespace {
 // per-worker floor is max(threshold, num_nodes).
 constexpr uint64_t kMinPostingsPerIndexWorker = 1u << 14;
 
+// Cold-scan kernel block sizes: nodes-column positions compared per block
+// (64 lanes = 256 bytes, one OR-reduction decides the whole block), and
+// sets summed per step of the sizes walk.
+constexpr size_t kScanBlock = 64;
+constexpr size_t kSizeBlock = 16;
+
+// Calls emit(k, off) once for every set k of a chunk (in column order)
+// whose members contain v, where off is set k's first position in
+// `nodes`; stops as soon as emit returns false. This is the sequence a
+// per-set member scan yields — a set listing v twice is emitted once,
+// empty sets never — but it costs one branch-free compare of the nodes
+// column (vectorized by the compiler), plus a blocked running sum over
+// `sizes` up to the last hit, instead of a branchy walk over every set.
+template <typename Emit>
+void ForEachChunkSetHolding(std::span<const uint32_t> sizes,
+                            std::span<const graph::NodeId> nodes,
+                            graph::NodeId v, Emit&& emit) {
+  const graph::NodeId* col = nodes.data();
+  size_t s = 0;      // first set whose members have not been passed
+  uint64_t off = 0;  // position of set s's first member
+  for (size_t b = 0; b < nodes.size(); b += kScanBlock) {
+    const size_t len = std::min(kScanBlock, nodes.size() - b);
+    uint32_t any = 0;
+    for (size_t i = 0; i < len; ++i) any |= col[b + i] == v ? 1u : 0u;
+    if (any == 0) continue;
+    for (size_t pos = b; pos < b + len; ++pos) {
+      // pos < off: a second copy of v inside the set emitted last.
+      if (col[pos] != v || pos < off) continue;
+      while (s + kSizeBlock <= sizes.size()) {
+        uint64_t sum = 0;
+        for (size_t j = 0; j < kSizeBlock; ++j) sum += sizes[s + j];
+        if (off + sum > pos) break;
+        off += sum;
+        s += kSizeBlock;
+      }
+      while (s < sizes.size() && off + sizes[s] <= pos) off += sizes[s++];
+      ISA_CHECK(s < sizes.size());  // sizes column covers every posting
+      if (!emit(s, off)) return;
+      off += sizes[s++];
+    }
+  }
+}
+
 }  // namespace
 
 RrStore::RrStore(graph::NodeId num_nodes)
@@ -559,25 +602,16 @@ void RrStore::FinishColdScan(
         nodes = rec.nodes;
       }
     }
-    uint64_t off = 0;
-    for (uint64_t s = 0; s < sizes.size(); ++s) {
+    // Only sets holding the node reach the id cut and the alive test:
+    // ids ascend within a chunk, so the first hit at or past max_id ends
+    // the chunk exactly where a walk over every set would have stopped.
+    ForEachChunkSetHolding(sizes, nodes, scan.node, [&](uint64_t s,
+                                                        uint64_t off) {
       const uint64_t id = m.SetIdAt(s);
-      const uint32_t size = sizes[s];
-      if (id >= scan.max_id) break;  // ids ascend within a chunk
-      // The alive filter runs before the membership scan: among old
-      // spilled sets most are already covered, and they must cost one
-      // byte load beyond the chunk read itself, nothing more.
-      if (alive.empty() || alive[id] != 0) {
-        const graph::NodeId* members = nodes.data() + off;
-        for (uint32_t i = 0; i < size; ++i) {
-          if (members[i] == scan.node) {
-            fn(id, std::span<const graph::NodeId>(members, size));
-            break;
-          }
-        }
-      }
-      off += size;
-    }
+      if (id >= scan.max_id) return false;
+      if (alive.empty() || alive[id] != 0) fn(id, nodes.subspan(off, sizes[s]));
+      return true;
+    });
   }
   if (scan.cursor != nullptr) {
     reads_in_flight_peak_ = std::max(reads_in_flight_peak_,

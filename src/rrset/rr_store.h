@@ -206,13 +206,16 @@ class RrStore {
   /// pread tasks, or inline preads without a pool) while chunk k is
   /// applied.
   /// fn always runs serially in list order, so the call sequence is
-  /// identical at any queue depth. A non-empty `alive` byte span (one
+  /// identical at any queue depth. Within a read chunk the scan kernel
+  /// costs one O(postings) vectorized compare of the nodes column against
+  /// `v`, plus a walk of the sizes column up to the last hit; only sets
+  /// holding `v` reach the id cut and the `alive` test, so a set that
+  /// does not hold `v` costs neither. A non-empty `alive` byte span (one
   /// byte per set id, nonzero = pass; must cover every id below max_id)
-  /// pre-filters set ids BEFORE the membership test — callers pass their
-  /// alive flags, so already-covered sets — the common case among old
-  /// spilled sets — cost one byte load, not a member scan. A raw span
-  /// rather than a predicate: the test runs once per spilled set per
-  /// scan, far too hot for an indirect call. Counters: one
+  /// drops sets before fn — callers pass their alive flags, so
+  /// already-covered sets are never re-applied. A raw span rather than a
+  /// predicate: StartColdScan's chunk skip reads it per mirrored set id,
+  /// too hot for an indirect call. Counters: one
   /// scan_reloads() tick per call that consulted the cold tier; each
   /// considered chunk lands in chunks_read() or chunks_skipped(). A chunk
   /// whose read permanently fails is healed in place — re-read once, then
@@ -256,7 +259,10 @@ class RrStore {
       graph::NodeId v, uint64_t max_id, ThreadPool* pool,
       std::span<const uint8_t> alive = {}) const;
   /// Second half: streams the scan's chunks and applies alive/fn in
-  /// ascending id order (contract as above). Consumes the scan.
+  /// ascending id order within each chunk (contract as above). Per chunk:
+  /// one vectorized compare of the nodes column, a sizes walk up to the
+  /// last hit, and one alive test per set holding the node. Consumes the
+  /// scan.
   void FinishColdScan(
       ColdScan& scan, std::span<const uint8_t> alive,
       const std::function<void(uint64_t, std::span<const graph::NodeId>)>&

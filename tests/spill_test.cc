@@ -11,6 +11,8 @@
 #include <functional>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
@@ -580,6 +582,270 @@ TEST(SpillEndToEndTest, SharedStoreBudgetedMatchesUnbudgeted) {
     ASSERT_TRUE(budgeted.ok());
     ExpectComputedResultsIdentical(unbudgeted.value(), budgeted.value());
     EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
+  }
+}
+
+// ---------------------------------------------------- cold-scan kernel
+
+// The cold scan finds a node by comparing a chunk's whole nodes column in
+// fixed 64-position blocks and mapping each hit back to its set through
+// the sizes column. These cases pin its (id, members) call sequence to an
+// oracle built from the pre-spill sets, at the places where a blocked
+// search can slip: a chunk's first and last posting, both sides of a
+// block boundary, a set that lists the node twice (also across a
+// boundary), empty sets, the max_id cut and dead sets.
+
+using Members = std::vector<graph::NodeId>;
+using Hits = std::vector<std::pair<uint64_t, Members>>;
+
+constexpr graph::NodeId kKernelNodes = 4096;  // the store's cluster gate
+constexpr graph::NodeId kV = 4000;
+constexpr uint64_t kKernelSeed = 77;
+
+class SpillScanKernelTest : public testing::Test {
+ protected:
+  ~SpillScanKernelTest() override { FailPoints::Clear(); }
+
+  // Appends one batch and spills it as exactly two clustered chunks. Every
+  // set of `a` holds node 0 or is empty and no set of `b` holds node 0, so
+  // a's sets lead the min-member order and a chunk target of exactly a's
+  // payload bytes cuts the batch at that seam. `a` takes the even ids
+  // while `b` lasts, so both chunks carry sparse id lists, and each
+  // chunk's nodes column is its sets in the order given.
+  void Build(const std::vector<Members>& a, const std::vector<Members>& b) {
+    std::vector<uint32_t> sizes;
+    std::vector<graph::NodeId> nodes;
+    uint64_t target = 0;
+    size_t ia = 0;
+    size_t ib = 0;
+    while (ia < a.size() || ib < b.size()) {
+      const bool take_a =
+          ib == b.size() || (ia < a.size() && sizes.size() % 2 == 0);
+      const Members& set = take_a ? a[ia++] : b[ib++];
+      chunk_ids_[take_a ? 0 : 1].push_back(sizes.size());
+      if (take_a) {
+        target += set.size() * sizeof(graph::NodeId) + sizeof(uint32_t);
+      }
+      sizes.push_back(static_cast<uint32_t>(set.size()));
+      nodes.insert(nodes.end(), set.begin(), set.end());
+    }
+    store_.AppendBatch(nodes, sizes, nullptr, kKernelSeed);
+    for (uint64_t r = 0; r < store_.num_sets(); ++r) {
+      const auto m = store_.SetMembers(r);
+      members_.emplace_back(m.begin(), m.end());
+    }
+    // A faithful re-sampler: it regenerates the original bits.
+    store_.SetResampler([this](uint64_t seed, uint64_t lo, uint64_t hi,
+                               std::vector<uint32_t>* out_sizes,
+                               std::vector<graph::NodeId>* out_nodes) {
+      ISA_CHECK(seed == kKernelSeed);
+      out_sizes->clear();
+      out_nodes->clear();
+      for (uint64_t r = lo; r < hi; ++r) {
+        out_sizes->push_back(static_cast<uint32_t>(members_[r].size()));
+        out_nodes->insert(out_nodes->end(), members_[r].begin(),
+                          members_[r].end());
+      }
+    });
+    SpillOptions so;
+    so.chunk_target_bytes = target;
+    store_.SpillPrefix(store_.num_sets(), so);
+    ASSERT_EQ(store_.SpillChunks(), 2u);
+  }
+
+  // Chunk columns with kV at the kernel's edge positions. The layout
+  // checks its own positions below, so an edit that shifts them fails
+  // loudly instead of silently testing less.
+  void BuildEdgeLayout() {
+    graph::NodeId next = 100;  // filler members: never 0, 5..9 or kV
+    const auto fill = [&](graph::NodeId anchor, size_t size) {
+      Members set{anchor};
+      while (set.size() < size) set.push_back(next++);
+      return set;
+    };
+    std::vector<Members> a;
+    a.push_back({kV, 0, next++});                    // 0: first posting
+    a.push_back({});
+    for (int i = 0; i < 19; ++i) a.push_back(fill(0, 3));
+    a.push_back({0, next++, next++, kV});            // 63: block 0's end
+    a.push_back({kV, 0, next++});                    // 64: block 1's start
+    a.push_back({0, kV, next++, kV});                // 68, 70: one set
+    a.push_back({});
+    a.push_back({});
+    for (int i = 0; i < 18; ++i) a.push_back(fill(0, 3));
+    a.push_back({0, next++, kV, kV, next++});        // 127 | 128: one set
+    a.push_back({});
+    for (int i = 0; i < 40; ++i) a.push_back(fill(0, 5));  // no hit
+    a.push_back({0, next++, kV});
+    for (int i = 0; i < 20; ++i) a.push_back(fill(0, 3));
+    a.push_back({0, next++, kV});                    // last posting
+    std::vector<Members> b;
+    b.push_back({kV, 5, next++});                    // first posting
+    for (int i = 0; i < 30; ++i) b.push_back(fill(7, 2));
+    b.push_back({9, kV, kV});
+    for (int i = 0; i < 10; ++i) b.push_back(fill(7, 2));
+    b.push_back({8, next++, kV});                    // last posting
+    ASSERT_LT(next, kV);
+
+    Members col;
+    for (const Members& set : a) col.insert(col.end(), set.begin(), set.end());
+    for (const size_t pos : {size_t{0}, size_t{63}, size_t{64}, size_t{68},
+                             size_t{70}, size_t{127}, size_t{128},
+                             col.size() - 1}) {
+      ASSERT_EQ(col[pos], kV) << "position " << pos;
+    }
+    Build(a, b);
+  }
+
+  // The scan contract: chunk by chunk, ids ascending within a chunk, each
+  // set below max_id that is alive and holds v, once, with its members.
+  Hits Expected(graph::NodeId v, uint64_t max_id,
+                std::span<const uint8_t> alive = {}) const {
+    Hits out;
+    for (const std::vector<uint64_t>& ids : chunk_ids_) {
+      for (const uint64_t r : ids) {
+        if (r >= max_id || (!alive.empty() && alive[r] == 0)) continue;
+        const Members& m = members_[r];
+        if (std::find(m.begin(), m.end(), v) != m.end()) {
+          out.emplace_back(r, m);
+        }
+      }
+    }
+    return out;
+  }
+
+  Hits Scan(graph::NodeId v, uint64_t max_id,
+            std::span<const uint8_t> alive = {},
+            ThreadPool* pool = nullptr) const {
+    return SpilledHits(store_, v, max_id, pool, alive);
+  }
+
+  uint64_t num_sets() const { return store_.num_sets(); }
+
+  RrStore store_{kKernelNodes};
+  std::vector<Members> members_;         // per set id, pre-spill
+  std::vector<uint64_t> chunk_ids_[2];   // per chunk, ascending
+};
+
+TEST_F(SpillScanKernelTest, HitsAtChunkEdgesAndBlockBoundaries) {
+  BuildEdgeLayout();
+  const Hits expected = Expected(kV, num_sets());
+  ASSERT_EQ(expected.size(), 10u);  // 7 sets in chunk A, 3 in chunk B
+  EXPECT_EQ(Scan(kV, num_sets()), expected);
+  // Node 0 hits nearly every block of chunk A; 5, 7, 9 and 8 only chunk
+  // B; 4095 is in no set at all.
+  for (const graph::NodeId v : {0u, 5u, 7u, 8u, 9u, 100u, 101u, 4095u}) {
+    EXPECT_EQ(Scan(v, num_sets()), Expected(v, num_sets())) << "node " << v;
+  }
+}
+
+TEST_F(SpillScanKernelTest, SetListingNodeTwiceEmitsOnceEmptySetsNever) {
+  BuildEdgeLayout();
+  uint64_t calls = 0;
+  for (graph::NodeId v = 0; v < kKernelNodes; ++v) {
+    const Hits hits = Scan(v, num_sets());
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_FALSE(hits[i].second.empty()) << "node " << v;
+      // ids ascend within a chunk, so a repeated call would be a tie
+      if (i > 0) {
+        ASSERT_NE(hits[i].first, hits[i - 1].first) << "node " << v;
+      }
+    }
+    calls += hits.size();
+  }
+  // Each set is emitted once per distinct member, so the total over all
+  // nodes is the number of distinct (set, member) pairs.
+  uint64_t distinct = 0;
+  for (Members m : members_) {
+    std::sort(m.begin(), m.end());
+    distinct += std::unique(m.begin(), m.end()) - m.begin();
+  }
+  EXPECT_EQ(calls, distinct);
+}
+
+TEST_F(SpillScanKernelTest, MaxIdCutsInsideSparseChunks) {
+  BuildEdgeLayout();
+  for (uint64_t max_id = 0; max_id <= num_sets(); ++max_id) {
+    for (const graph::NodeId v : {kV, 0u, 7u}) {
+      ASSERT_EQ(Scan(v, max_id), Expected(v, max_id))
+          << "node " << v << " max_id " << max_id;
+    }
+  }
+}
+
+TEST_F(SpillScanKernelTest, DeadSetsAreSkippedLiveOnesStillEmit) {
+  BuildEdgeLayout();
+  // Kill each hit of kV in turn: the hits around it must still come out.
+  for (const auto& [dead, members] : Expected(kV, num_sets())) {
+    std::vector<uint8_t> alive(num_sets(), 1);
+    alive[dead] = 0;
+    ASSERT_EQ(Scan(kV, num_sets(), alive), Expected(kV, num_sets(), alive))
+        << "dead set " << dead;
+  }
+  std::vector<uint8_t> partly(num_sets());
+  for (uint64_t r = 0; r < partly.size(); ++r) partly[r] = r % 3 != 0;
+  for (const graph::NodeId v : {kV, 0u, 7u}) {
+    EXPECT_EQ(Scan(v, num_sets(), partly), Expected(v, num_sets(), partly))
+        << "node " << v;
+    EXPECT_EQ(Scan(v, num_sets() / 2, partly),
+              Expected(v, num_sets() / 2, partly))
+        << "node " << v;
+  }
+  const std::vector<uint8_t> none(num_sets(), 0);
+  EXPECT_TRUE(Scan(kV, num_sets(), none).empty());
+}
+
+// Chunks rebuilt by re-sampling after a failed read run through the same
+// kernel — on the failing scan and, from the recovery cache, on later ones.
+TEST_F(SpillScanKernelTest, RecoveredChunksMatchOracle) {
+  BuildEdgeLayout();
+  std::vector<uint8_t> partly(num_sets());
+  for (uint64_t r = 0; r < partly.size(); ++r) partly[r] = r % 5 != 1;
+  const auto check_all = [&] {
+    for (const graph::NodeId v : {kV, 0u, 7u}) {
+      EXPECT_EQ(Scan(v, num_sets()), Expected(v, num_sets())) << v;
+      EXPECT_EQ(Scan(v, 101, partly), Expected(v, 101, partly)) << v;
+    }
+  };
+  ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
+  check_all();
+  EXPECT_EQ(store_.degradation_events(), 2u);  // each chunk rebuilt once
+  EXPECT_EQ(store_.recovered_sets(), num_sets());
+  FailPoints::Clear();
+  check_all();
+  EXPECT_EQ(store_.degradation_events(), 2u);
+}
+
+// Random shapes over a small member universe: many hits per block, sets
+// with repeated members, empty sets, random cuts and alive spans, and the
+// pooled cursor as well as inline reads.
+TEST_F(SpillScanKernelTest, RandomChunksMatchOracle) {
+  Rng rng(2024);
+  constexpr graph::NodeId kUniverse = 48;
+  std::vector<Members> a(400);
+  std::vector<Members> b(150);
+  for (Members& set : a) {
+    const uint64_t size = rng.NextBounded(8);
+    for (uint64_t i = 0; i < size; ++i) {
+      set.push_back(static_cast<graph::NodeId>(1 + rng.NextBounded(kUniverse)));
+    }
+    if (size > 0) set[rng.NextBounded(size)] = 0;
+  }
+  for (Members& set : b) {
+    const uint64_t size = 1 + rng.NextBounded(4);
+    for (uint64_t i = 0; i < size; ++i) {
+      set.push_back(static_cast<graph::NodeId>(1 + rng.NextBounded(kUniverse)));
+    }
+  }
+  Build(a, b);
+  ThreadPool pool(2);
+  for (graph::NodeId v = 0; v <= kUniverse + 1; ++v) {
+    ASSERT_EQ(Scan(v, num_sets()), Expected(v, num_sets())) << "node " << v;
+    std::vector<uint8_t> alive(num_sets());
+    for (uint8_t& x : alive) x = rng.NextBounded(4) != 0;
+    const uint64_t max_id = rng.NextBounded(num_sets() + 1);
+    ASSERT_EQ(Scan(v, max_id, alive, &pool), Expected(v, max_id, alive))
+        << "node " << v << " max_id " << max_id;
   }
 }
 
