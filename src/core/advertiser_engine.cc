@@ -80,6 +80,17 @@ void CoverageHeap::Push(CoverageHeapEntry e) {
 
 // -------------------------------------------------------- AdvertiserEngine
 
+namespace {
+
+// The engine's sampler reads the instance's in-arc table for this ad.
+rrset::ParallelSamplerOptions WithNodeProbs(rrset::ParallelSamplerOptions o,
+                                            std::span<const double> table) {
+  o.node_probs = table;
+  return o;
+}
+
+}  // namespace
+
 AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
                                    std::shared_ptr<rrset::RrStore> shared_store,
                                    const AdvertiserEngineOptions& options)
@@ -91,7 +102,8 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
                       ? rrset::RrCollection(std::move(shared_store))
                       : rrset::RrCollection(instance.graph().num_nodes())),
       sampler_(instance.graph(), instance.ad_probs(ad), options.model,
-               options.sampler_seed, options.sampler),
+               options.sampler_seed,
+               WithNodeProbs(options.sampler, instance.ad_node_probs(ad))),
       schedule_(options.sizer),
       eligible_(instance.graph().num_nodes(), 1) {
   // The sizer is the driver's responsibility (one per store, pilot already
@@ -124,7 +136,8 @@ Status AdvertiserEngine::Init() {
              std::vector<uint32_t>* sizes,
              std::vector<graph::NodeId>* nodes) {
         rrset::RrSampler sampler(instance_.graph(), instance_.ad_probs(ad_),
-                                 options_.model);
+                                 options_.model,
+                                 instance_.ad_node_probs(ad_));
         sizes->clear();
         nodes->clear();
         sizes->reserve(hi - lo);
@@ -267,7 +280,34 @@ void AdvertiserEngine::ComputeCandidate() {
   cand_marg_pay_ = cand_marg_rev_ + instance_.incentive(ad_, chosen);
 }
 
+bool AdvertiserEngine::BudgetExhausted(double budget) const {
+  // Every heap-rule candidate has coverage >= 1, so its marginal payment
+  // (ComputeCandidate's expressions) is at least this bound: IEEE rounding
+  // is monotone through the same division, products and sums. PageRank
+  // candidates may have coverage 0, and a pending growth may lower
+  // payment_ after the old loop would already have retired every node.
+  if (!budget_stop_enabled_ ||
+      options_.candidate_rule == CandidateRule::kPageRank || pending_.active) {
+    return false;
+  }
+  const double min_rev =
+      instance_.cpe(ad_) * dn_ *
+      (1.0 / static_cast<double>(collection_.total_sets()));
+  return payment_ + (min_rev + instance_.min_incentive(ad_)) >
+         budget + kBudgetSlack;
+}
+
 void AdvertiserEngine::EnsureFeasibleCandidate(double budget) {
+  // No candidate can fit: report none without retiring the ground set one
+  // heap pop at a time. payment_ changes only through this ad's own commit
+  // or growth, neither of which can happen without a candidate, so the ad
+  // stays out for good — as it would once the loop below retired every
+  // node.
+  if (BudgetExhausted(budget)) {
+    candidate_ = kNoNode;
+    candidate_fresh_ = true;
+    return;
+  }
   while (true) {
     if (!candidate_fresh_) ComputeCandidate();
     if (candidate_ == kNoNode) return;

@@ -162,7 +162,9 @@ class AdvertiserEngine {
 
   /// Ensures the cached candidate is budget-feasible, permanently retiring
   /// infeasible nodes from this ad's ground set until a feasible candidate
-  /// is found or the ad runs out of candidates.
+  /// is found or the ad runs out of candidates. Under a heap rule with no
+  /// growth pending, an ad whose remaining budget cannot pay for even a
+  /// coverage-1 seed at the minimum incentive has no candidate at once.
   void EnsureFeasibleCandidate(double budget);
   bool has_candidate() const { return candidate_ != kNoNode; }
   graph::NodeId candidate() const { return candidate_; }
@@ -252,6 +254,9 @@ class AdvertiserEngine {
   // ---- Test hooks (the brute-force heap-repair cross-checks). ----
   CoverageHeap& heap_for_test() { return heap_; }
   std::span<const uint8_t> eligible_for_test() const { return eligible_; }
+  /// Turns off EnsureFeasibleCandidate's budget-exhaustion stop, leaving
+  /// only the one-node-at-a-time retirement it short-cuts.
+  void disable_budget_stop_for_test() { budget_stop_enabled_ = false; }
 
  private:
   bool windowed() const {
@@ -274,6 +279,8 @@ class AdvertiserEngine {
   // Shared tail of GrowNow/AdoptPendingGrowth: heap repair from the
   // adoption deltas + Algorithm 3 estimate refresh.
   void FinishGrowth();
+  // True when no candidate can be feasible (see EnsureFeasibleCandidate).
+  bool BudgetExhausted(double budget) const;
 
   const RmInstance& instance_;
   const uint32_t ad_;
@@ -306,6 +313,8 @@ class AdvertiserEngine {
   // PageRank order + consumed prefix (kPageRank rule).
   std::vector<graph::NodeId> pr_order_;
   size_t pr_cursor_ = 0;
+
+  bool budget_stop_enabled_ = true;
 
   // Cached line-7 candidate.
   bool candidate_fresh_ = false;

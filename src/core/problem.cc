@@ -1,9 +1,10 @@
 #include "core/problem.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstring>
 
 #include "common/strings.h"
+#include "rrset/rr_sampler.h"
 
 namespace isa::core {
 
@@ -43,16 +44,37 @@ Result<RmInstance> RmInstance::Create(
 
   RmInstance inst;
   inst.g_ = &g;
-  inst.ad_probs_.reserve(ads.size());
-  for (const AdvertiserSpec& spec : ads) {
-    auto mixed = topic::AdProbabilities::Mix(topics, spec.gamma);
+  // Bitwise-equal γ mix to bitwise-equal Eq. 1 vectors, so such ads share
+  // one vector and one in-arc table instead of repeating the O(L·m) mix.
+  std::vector<uint32_t> leader_of_probs;
+  for (uint32_t i = 0; i < ads.size(); ++i) {
+    const std::vector<double>& w = ads[i].gamma.weights();
+    auto same = std::find_if(
+        leader_of_probs.begin(), leader_of_probs.end(), [&](uint32_t l) {
+          const std::vector<double>& lw = ads[l].gamma.weights();
+          return lw.size() == w.size() &&
+                 std::memcmp(lw.data(), w.data(),
+                             w.size() * sizeof(double)) == 0;
+        });
+    if (same != leader_of_probs.end()) {
+      inst.probs_of_ad_.push_back(
+          static_cast<uint32_t>(same - leader_of_probs.begin()));
+      continue;
+    }
+    auto mixed = topic::AdProbabilities::Mix(topics, ads[i].gamma);
     if (!mixed.ok()) return mixed.status();
-    inst.ad_probs_.push_back(std::move(mixed).value());
+    inst.probs_of_ad_.push_back(static_cast<uint32_t>(inst.probs_.size()));
+    leader_of_probs.push_back(i);
+    inst.probs_.push_back(std::move(mixed).value());
+    inst.node_probs_.push_back(
+        rrset::InArcProbabilities(g, inst.probs_.back().probs()));
   }
   inst.max_incentive_.reserve(ads.size());
+  inst.min_incentive_.reserve(ads.size());
   for (const auto& sched : incentives) {
-    inst.max_incentive_.push_back(
-        *std::max_element(sched.begin(), sched.end()));
+    const auto [lo, hi] = std::minmax_element(sched.begin(), sched.end());
+    inst.min_incentive_.push_back(*lo);
+    inst.max_incentive_.push_back(*hi);
   }
   inst.ads_ = std::move(ads);
   inst.incentives_ = std::move(incentives);
@@ -61,7 +83,8 @@ Result<RmInstance> RmInstance::Create(
 
 uint64_t RmInstance::ProbabilityMemoryBytes() const {
   uint64_t bytes = 0;
-  for (const auto& p : ad_probs_) bytes += p.MemoryBytes();
+  for (const auto& p : probs_) bytes += p.MemoryBytes();
+  for (const auto& t : node_probs_) bytes += t.capacity() * sizeof(double);
   return bytes;
 }
 

@@ -37,7 +37,8 @@ class RmInstance {
   ///  - every advertiser needs cpe > 0 and budget > 0;
   ///  - `incentives[i][u]` = c_i(u) must be present for every (ad, node) and
   ///    non-negative;
-  ///  - per-ad arc probabilities are mixed from `topics` via each γ_i.
+  ///  - per-ad arc probabilities are mixed from `topics` via each γ_i, once
+  ///    per distinct γ (bitwise), together with the sampler's in-arc table.
   static Result<RmInstance> Create(
       const graph::Graph& g, const topic::TopicEdgeProbabilities& topics,
       std::vector<AdvertiserSpec> ads,
@@ -52,8 +53,14 @@ class RmInstance {
   double budget(uint32_t i) const { return ads_[i].budget; }
 
   /// Ad-specific arc probabilities p^i (Eq. 1), indexed by forward EdgeId.
+  /// Ads whose γ are bitwise equal share one vector (same data()).
   std::span<const double> ad_probs(uint32_t i) const {
-    return ad_probs_[i].probs();
+    return probs_[probs_of_ad_[i]].probs();
+  }
+  /// rrset::InArcProbabilities of ad_probs(i): the RR sampler's per-node
+  /// table, derived once per distinct Eq. 1 vector.
+  std::span<const double> ad_node_probs(uint32_t i) const {
+    return node_probs_[probs_of_ad_[i]];
   }
 
   /// Seed incentive c_i(u).
@@ -65,8 +72,11 @@ class RmInstance {
   }
   /// c^max_i = max_v c_i(v), used by the latent seed-size rule (Eq. 10).
   double max_incentive(uint32_t i) const { return max_incentive_[i]; }
+  /// c^min_i = min_v c_i(v): no seed of ad i costs less.
+  double min_incentive(uint32_t i) const { return min_incentive_[i]; }
 
-  /// Total bytes of the materialized per-ad probability views.
+  /// Total bytes of the materialized probability views (Eq. 1 vectors and
+  /// their in-arc tables), each distinct one counted once.
   uint64_t ProbabilityMemoryBytes() const;
 
  private:
@@ -74,9 +84,14 @@ class RmInstance {
 
   const graph::Graph* g_ = nullptr;
   std::vector<AdvertiserSpec> ads_;
-  std::vector<topic::AdProbabilities> ad_probs_;
+  // Distinct Eq. 1 vectors, their in-arc tables (parallel), and each ad's
+  // index into both.
+  std::vector<topic::AdProbabilities> probs_;
+  std::vector<std::vector<double>> node_probs_;
+  std::vector<uint32_t> probs_of_ad_;
   std::vector<std::vector<double>> incentives_;
   std::vector<double> max_incentive_;
+  std::vector<double> min_incentive_;
 };
 
 /// An ads-to-seeds allocation S⃗ = (S_1, ..., S_h).

@@ -51,6 +51,17 @@ std::vector<std::vector<uint32_t>> GroupAdsByStore(
   std::unordered_map<uint64_t, std::vector<size_t>> groups_by_hash;
   for (uint32_t j = 0; j < h; ++j) {
     const auto probs_j = instance.ad_probs(j);
+    // Ads with bitwise-equal γ share one vector in the instance: join the
+    // leader's group without hashing. (At most one group can hold a given
+    // content, so this finds the group the hash path would.)
+    auto same = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return instance.ad_probs(g.front()).data() == probs_j.data();
+    });
+    if (same != groups.end()) {
+      (*store_of_ad)[j] = (*store_of_ad)[same->front()];
+      same->push_back(j);
+      continue;
+    }
     auto& bucket = groups_by_hash[HashProbVector(probs_j)];
     bool found = false;
     for (size_t gi : bucket) {
@@ -136,6 +147,7 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       // samplers (O(n) epoch arrays) per concurrent pilot; run those
       // pilots serially instead — the widths are bit-identical either way.
       so.pool = groups.size() >= pool.concurrency() ? nullptr : &pool;
+      so.node_probs = instance.ad_node_probs(leader);
       auto sizer = std::make_shared<const rrset::SampleSizer>(
           instance.graph(), instance.ad_probs(leader), so);
       for (uint32_t j : groups[gi]) {

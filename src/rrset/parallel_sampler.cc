@@ -16,6 +16,9 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
     : g_(g),
       probs_(probs),
       model_(model),
+      node_probs_(ResolveInArcProbabilities(g, probs, model,
+                                            options.node_probs,
+                                            &owned_node_probs_)),
       base_seed_(base_seed),
       min_sets_per_thread_(std::max<uint64_t>(1, options.min_sets_per_thread)),
       // max_threads_ bounds shard count and per-worker sampler memory, not
@@ -56,7 +59,8 @@ ThreadPool* ParallelSampler::pool() {
 void ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
                                   uint64_t count, Shard* shard) {
   if (workers_[w] == nullptr) {
-    workers_[w] = std::make_unique<RrSampler>(g_, probs_, model_);
+    workers_[w] =
+        std::make_unique<RrSampler>(g_, probs_, model_, node_probs_);
   }
   RrSampler& sampler = *workers_[w];
   shard->sizes.reserve(count);

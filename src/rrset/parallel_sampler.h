@@ -22,7 +22,8 @@
 // standalone use, a pool the sampler lazily creates and owns. Either way
 // no thread is spawned per batch. The per-set Rng re-seed costs four
 // SplitMix64 draws — noise next to the reverse BFS each set runs. Each
-// worker keeps its own RrSampler (epoch array), reused across calls.
+// worker keeps its own RrSampler (epoch array), reused across calls; all
+// workers read one per-node in-arc probability table (the IC fast path).
 
 #ifndef ISA_RRSET_PARALLEL_SAMPLER_H_
 #define ISA_RRSET_PARALLEL_SAMPLER_H_
@@ -57,6 +58,10 @@ struct ParallelSamplerOptions {
   /// sampler). When null, the sampler lazily creates a private pool the
   /// first time a batch is worth parallelizing.
   ThreadPool* pool = nullptr;
+  /// InArcProbabilities of the sampler's `probs` (see rrset/rr_sampler.h),
+  /// shared read-only by every worker; must outlive the sampler. When
+  /// empty, an IC sampler derives the table once at construction.
+  std::span<const double> node_probs;
 };
 
 /// Samples RR sets for one (graph, arc-probability) pair across a worker
@@ -118,6 +123,8 @@ class ParallelSampler {
   const graph::Graph& g_;
   std::span<const double> probs_;
   DiffusionModel model_;
+  std::vector<double> owned_node_probs_;
+  std::span<const double> node_probs_;
   uint64_t base_seed_;
   uint64_t min_sets_per_thread_;
   uint32_t max_threads_;

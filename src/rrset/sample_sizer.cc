@@ -35,12 +35,17 @@ void SampleSizer::RunPilot(const graph::Graph& g,
              : 1);
 
   // Task-indexed samplers (O(n) epoch arrays), created lazily and reused
-  // across the doubling rounds; slot 0 doubles as the serial sampler.
+  // across the doubling rounds; slot 0 doubles as the serial sampler. All
+  // of them read one in-arc probability table.
+  std::vector<double> owned_node_probs;
+  const std::span<const double> node_probs = ResolveInArcProbabilities(
+      g, probs, options_.model, options_.node_probs, &owned_node_probs);
   std::vector<std::unique_ptr<RrSampler>> samplers(
       options_.pool == nullptr ? 1 : options_.pool->concurrency());
   auto sampler_for = [&](uint64_t t) -> RrSampler& {
     if (samplers[t] == nullptr) {
-      samplers[t] = std::make_unique<RrSampler>(g, probs, options_.model);
+      samplers[t] =
+          std::make_unique<RrSampler>(g, probs, options_.model, node_probs);
     }
     return *samplers[t];
   };

@@ -81,6 +81,10 @@ struct SampleSizerOptions {
   /// Below this many pilot sets per would-be task, fewer tasks are used
   /// (down to the serial loop).
   uint64_t min_pilot_sets_per_task = 256;
+  /// InArcProbabilities of the pilot's `probs` (see rrset/rr_sampler.h),
+  /// read by every pilot sampler during the constructor call only. When
+  /// empty, an IC pilot derives the table once.
+  std::span<const double> node_probs;
 };
 
 /// The once-per-store KPT pilot plus the raw Eq. 8 evaluator.

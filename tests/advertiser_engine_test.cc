@@ -8,6 +8,8 @@
 #include "core/advertiser_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -453,6 +455,312 @@ TEST(AsyncGrowthTest, DeterministicInSeed) {
   auto b = RunTiCsrm(*f.instance, options);
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectTiResultsIdentical(a.value(), b.value());
+}
+
+// ---- Budget-exhaustion stop (EnsureFeasibleCandidate). ----
+
+// Small random instance: BA graph, weighted-cascade probabilities, three
+// ads with incentives drawn from {0.05, 0.5, 2}. A cheap regime makes
+// payments mostly incentives; a priced one makes an RR set's revenue
+// matter next to an incentive (cpe ~ 1), so coverage decides feasibility.
+// A 200-set θ cap leaves many nodes at coverage 0 or 1; a 20k cap lets θ
+// grow.
+struct StopInstance {
+  uint64_t seed;
+  bool priced;
+  uint64_t theta_cap;
+};
+
+constexpr StopInstance kStopInstances[] = {
+    {1, false, 20'000}, {2, false, 20'000}, {3, true, 20'000},
+    {1, true, 200},     {2, true, 200},     {3, true, 200}};
+
+struct StopFixture {
+  Graph g;
+  std::unique_ptr<topic::TopicEdgeProbabilities> topics;
+  std::unique_ptr<RmInstance> instance;
+
+  explicit StopFixture(const StopInstance& spec)
+      : g(MakeBaGraph(100, spec.seed)) {
+    auto wc = topic::MakeWeightedCascade(g, 1);
+    ISA_CHECK(wc.ok());
+    topics = std::make_unique<topic::TopicEdgeProbabilities>(
+        std::move(wc).value());
+    Rng rng(spec.seed);
+    std::vector<AdvertiserSpec> ads(3);
+    std::vector<std::vector<double>> incentives(3);
+    const double levels[] = {0.05, 0.5, 2.0};
+    for (uint32_t j = 0; j < 3; ++j) {
+      ads[j].cpe = spec.priced ? 0.5 + rng.NextDouble()
+                               : 0.01 + 0.04 * rng.NextDouble();
+      ads[j].budget = 4.0 + 8.0 * rng.NextDouble();
+      ads[j].gamma = topic::TopicDistribution::Uniform(1);
+      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+        incentives[j].push_back(levels[rng.NextBounded(3)]);
+      }
+    }
+    auto inst = RmInstance::Create(g, *topics, std::move(ads),
+                                   std::move(incentives));
+    ISA_CHECK(inst.ok());
+    instance = std::make_unique<RmInstance>(std::move(inst).value());
+  }
+};
+
+struct StopConfig {
+  const char* name;
+  CandidateRule rule;
+  SelectionRule sel;
+  uint32_t window;
+};
+
+constexpr StopConfig kStopConfigs[] = {
+    {"coverage", CandidateRule::kCoverage, SelectionRule::kMaxMarginalRevenue,
+     0},
+    {"ratio-full", CandidateRule::kCoverageCostRatio, SelectionRule::kMaxRate,
+     0},
+    {"ratio-window", CandidateRule::kCoverageCostRatio,
+     SelectionRule::kMaxRate, 6},
+    {"pagerank", CandidateRule::kPageRank, SelectionRule::kMaxMarginalRevenue,
+     0},
+    {"pagerank-rr", CandidateRule::kPageRank, SelectionRule::kRoundRobin, 0},
+};
+
+TiOptions StopOptions(const StopConfig& cfg, const StopInstance& spec,
+                      bool async) {
+  TiOptions options;
+  options.candidate_rule = cfg.rule;
+  options.selection_rule = cfg.sel;
+  options.window = cfg.window;
+  options.async_growth = async;
+  options.epsilon = 0.8;
+  options.seed = 31;
+  options.theta_cap = spec.theta_cap;
+  options.growth_delay_rounds = 4;
+  options.num_threads = 1;
+  return options;
+}
+
+// The engines RunTiGreedy builds for private stores, with the budget stop
+// on or off.
+std::vector<std::unique_ptr<AdvertiserEngine>> MakeEngines(
+    const RmInstance& inst, const TiOptions& options, ThreadPool& pool,
+    bool budget_stop) {
+  const uint32_t n = inst.num_nodes();
+  std::vector<std::unique_ptr<AdvertiserEngine>> ads(inst.num_ads());
+  for (uint32_t j = 0; j < inst.num_ads(); ++j) {
+    rrset::SampleSizerOptions so;
+    so.epsilon = options.epsilon;
+    so.theta_cap = options.theta_cap;
+    so.seed = HashSeed(options.seed, 1000 + j);
+    AdvertiserEngineOptions eo;
+    eo.candidate_rule = options.candidate_rule;
+    eo.window = options.window == 0 ? n : options.window;
+    eo.ratio_keyed_heap =
+        options.candidate_rule == CandidateRule::kCoverageCostRatio &&
+        options.window == 0;
+    eo.async_capable = options.async_growth;
+    eo.sampler_seed = HashSeed(options.seed, j);
+    eo.sizer = std::make_shared<const rrset::SampleSizer>(
+        inst.graph(), inst.ad_probs(j), so);
+    eo.sampler.num_threads = 1;
+    eo.sampler.pool = &pool;
+    ads[j] = std::make_unique<AdvertiserEngine>(j, inst, nullptr, eo);
+    ISA_CHECK(ads[j]->Init().ok());
+    if (!budget_stop) ads[j]->disable_budget_stop_for_test();
+  }
+  return ads;
+}
+
+Allocation RunScheduler(
+    const RmInstance& inst, const TiOptions& options, ThreadPool& pool,
+    std::span<const std::unique_ptr<AdvertiserEngine>> ads) {
+  Allocation alloc;
+  alloc.seed_sets.assign(inst.num_ads(), {});
+  SelectionScheduler scheduler(inst, options, pool, ads);
+  scheduler.Run(&alloc);
+  return alloc;
+}
+
+// The stop must not change a single result: same allocation and per-ad
+// estimates as the exhaustive one-node-at-a-time retirement, for every
+// rule, sync and async growth; synchronously also the allocation
+// RunTiGreedy gives.
+TEST(BudgetStopTest, AllocationMatchesExhaustiveRetirement) {
+  uint64_t growths = 0;
+  for (const StopInstance& spec : kStopInstances) {
+    StopFixture f(spec);
+    const RmInstance& inst = *f.instance;
+    for (const StopConfig& cfg : kStopConfigs) {
+      for (const bool async : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << spec.seed << (spec.priced ? " priced" : "")
+                     << " cap " << spec.theta_cap << " " << cfg.name
+                     << (async ? " async" : " sync"));
+        const TiOptions options = StopOptions(cfg, spec, async);
+        ThreadPool pool(1);
+        auto fast = MakeEngines(inst, options, pool, true);
+        auto slow = MakeEngines(inst, options, pool, false);
+        const Allocation a = RunScheduler(inst, options, pool, fast);
+        const Allocation b = RunScheduler(inst, options, pool, slow);
+        EXPECT_EQ(a.seed_sets, b.seed_sets);
+        for (uint32_t j = 0; j < inst.num_ads(); ++j) {
+          EXPECT_EQ(fast[j]->revenue(), slow[j]->revenue());
+          EXPECT_EQ(fast[j]->payment(), slow[j]->payment());
+          EXPECT_EQ(fast[j]->theta(), slow[j]->theta());
+          EXPECT_EQ(fast[j]->growth_events(), slow[j]->growth_events());
+          growths += fast[j]->growth_events();
+        }
+        if (async) continue;
+        auto run = RunTiGreedy(inst, options);
+        ASSERT_TRUE(run.ok());
+        EXPECT_EQ(run.value().allocation.seed_sets, a.seed_sets);
+      }
+    }
+  }
+  EXPECT_GT(growths, 0u);  // the growth paths were on the way
+}
+
+// Whenever an ad ends a candidate stage without a candidate while eligible
+// covered nodes remain — only the stop leaves those — a brute-force scan
+// must find every one of them over budget. The run is stepped one commit
+// at a time (sync growth, so stepping changes nothing) and checked
+// between commits.
+TEST(BudgetStopTest, NoEligibleNodeFeasibleWhenStopFires) {
+  for (const StopConfig& cfg : kStopConfigs) {
+    if (cfg.rule == CandidateRule::kPageRank) continue;  // no stop there
+    SCOPED_TRACE(cfg.name);
+    uint64_t fires = 0;
+    for (const StopInstance& spec : kStopInstances) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << spec.seed << (spec.priced ? " priced" : "")
+                   << " cap " << spec.theta_cap);
+      StopFixture f(spec);
+      const RmInstance& inst = *f.instance;
+      const double dn = static_cast<double>(inst.num_nodes());
+      TiOptions options = StopOptions(cfg, spec, /*async=*/false);
+      ThreadPool pool(1);
+      auto ads = MakeEngines(inst, options, pool, true);
+      Allocation stepped;
+      stepped.seed_sets.assign(inst.num_ads(), {});
+      options.max_seeds = 1;
+      while (true) {
+        const uint64_t before = stepped.TotalSeeds();
+        SelectionScheduler step(inst, options, pool, ads);
+        step.Run(&stepped);
+        for (uint32_t j = 0; j < inst.num_ads(); ++j) {
+          AdvertiserEngine& ad = *ads[j];
+          ad.EnsureFeasibleCandidate(inst.budget(j));
+          if (ad.has_candidate()) continue;
+          const rrset::RrCollection& col = ad.collection();
+          const auto eligible = ad.eligible_for_test();
+          uint32_t left = 0;
+          for (graph::NodeId v = 0; v < inst.num_nodes(); ++v) {
+            const uint32_t cov = col.CoverageOf(v);
+            if (!eligible[v] || cov == 0) continue;
+            ++left;
+            const double pay =
+                inst.cpe(j) * dn *
+                    (static_cast<double>(cov) /
+                     static_cast<double>(col.total_sets())) +
+                inst.incentive(j, v);
+            EXPECT_GT(ad.payment() + pay, inst.budget(j) + kBudgetSlack)
+                << "ad " << j << " node " << v;
+          }
+          fires += left > 0;
+        }
+        if (stepped.TotalSeeds() == before) break;
+      }
+      options.max_seeds = 0;
+      auto run = RunTiGreedy(inst, options);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(run.value().allocation.seed_sets, stepped.seed_sets);
+    }
+    EXPECT_GT(fires, 0u);
+  }
+}
+
+// The stop leaves the ground set as it is, where the exhaustive loop
+// retires every covered node; while a growth is pending (which may lower
+// the payment) it must stand aside and let that loop run.
+TEST(BudgetStopTest, PendingGrowthKeepsExhaustiveRetirement) {
+  const StopInstance& spec = kStopInstances[2];  // priced, θ grows
+  StopFixture f(spec);
+  const RmInstance& inst = *f.instance;
+  const TiOptions options = StopOptions(kStopConfigs[1], spec, true);
+  ThreadPool pool(2);
+  auto covered_eligible = [&](const AdvertiserEngine& e) {
+    uint32_t count = 0;
+    for (graph::NodeId v = 0; v < inst.num_nodes(); ++v) {
+      count += e.eligible_for_test()[v] && e.collection().CoverageOf(v) > 0;
+    }
+    return count;
+  };
+
+  // No growth pending: at budget 0 the stop fires and retires nothing.
+  {
+    auto fast = MakeEngines(inst, options, pool, true);
+    auto slow = MakeEngines(inst, options, pool, false);
+    fast[0]->EnsureFeasibleCandidate(0.0);
+    slow[0]->EnsureFeasibleCandidate(0.0);
+    EXPECT_FALSE(fast[0]->has_candidate());
+    EXPECT_FALSE(slow[0]->has_candidate());
+    EXPECT_GT(covered_eligible(*fast[0]), 0u);
+    EXPECT_EQ(covered_eligible(*slow[0]), 0u);
+  }
+
+  // Growth pending: commit one seed, start a growth, then leave no room.
+  auto fast = MakeEngines(inst, options, pool, true);
+  auto slow = MakeEngines(inst, options, pool, false);
+  for (AdvertiserEngine* e : {fast[0].get(), slow[0].get()}) {
+    e->EnsureFeasibleCandidate(inst.budget(0));
+    ASSERT_TRUE(e->has_candidate());
+    const graph::NodeId v = e->candidate();
+    e->MarkNodeTaken(v);
+    e->CommitSeed(v);
+    e->BeginAsyncGrowth(2 * e->theta(), /*adopt_round=*/1, pool);
+    e->EnsureFeasibleCandidate(e->payment());
+    EXPECT_FALSE(e->has_candidate());
+  }
+  EXPECT_EQ(covered_eligible(*fast[0]), 0u);
+  EXPECT_TRUE(std::ranges::equal(fast[0]->eligible_for_test(),
+                                 slow[0]->eligible_for_test()));
+  for (AdvertiserEngine* e : {fast[0].get(), slow[0].get()}) {
+    e->AdoptPendingGrowth(pool);
+    e->EnsureFeasibleCandidate(inst.budget(0));
+  }
+  EXPECT_EQ(fast[0]->payment(), slow[0]->payment());
+  EXPECT_EQ(fast[0]->candidate(), slow[0]->candidate());
+}
+
+// The stop's bound is the price of a coverage-1 seed at the minimum
+// incentive, compared with the same slack as the feasibility test: just
+// inside the slack such a seed still fits, just outside nothing does.
+TEST(BudgetStopTest, BoundIsTightAtTheSlack) {
+  const StopInstance& spec = kStopInstances[4];  // priced, θ capped at 200
+  StopFixture f(spec);
+  const RmInstance& inst = *f.instance;
+  const TiOptions options = StopOptions(kStopConfigs[1], spec, false);
+  ThreadPool pool(1);
+  for (const double offset : {0.5 * kBudgetSlack, 2.0 * kBudgetSlack}) {
+    SCOPED_TRACE(testing::Message() << "offset " << offset);
+    auto fast = MakeEngines(inst, options, pool, true);
+    auto slow = MakeEngines(inst, options, pool, false);
+    const AdvertiserEngine& e = *fast[0];
+    bool cheapest_exists = false;
+    for (graph::NodeId v = 0; v < inst.num_nodes(); ++v) {
+      cheapest_exists |= e.collection().CoverageOf(v) == 1 &&
+                         inst.incentive(0, v) == inst.min_incentive(0);
+    }
+    ASSERT_TRUE(cheapest_exists);
+    const double bound =
+        inst.cpe(0) * static_cast<double>(inst.num_nodes()) *
+            (1.0 / static_cast<double>(e.collection().total_sets())) +
+        inst.min_incentive(0);
+    fast[0]->EnsureFeasibleCandidate(bound - offset);
+    slow[0]->EnsureFeasibleCandidate(bound - offset);
+    EXPECT_EQ(fast[0]->has_candidate(), offset < kBudgetSlack);
+    EXPECT_EQ(fast[0]->candidate(), slow[0]->candidate());
+  }
 }
 
 }  // namespace

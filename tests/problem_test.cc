@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/problem.h"
 #include "core/spread_oracle.h"
+#include "rrset/rr_sampler.h"
 #include "tests/test_util.h"
 
 namespace isa::core {
@@ -27,9 +30,54 @@ TEST(RmInstanceTest, CreateAndAccessors) {
   EXPECT_DOUBLE_EQ(inst.incentive(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(inst.max_incentive(0), 3.0);
   EXPECT_DOUBLE_EQ(inst.max_incentive(1), 0.5);
+  EXPECT_DOUBLE_EQ(inst.min_incentive(0), 1.0);
+  EXPECT_DOUBLE_EQ(inst.min_incentive(1), 0.5);
   EXPECT_EQ(inst.ad_probs(0).size(), 2u);
   EXPECT_DOUBLE_EQ(inst.ad_probs(0)[0], 0.5);
   EXPECT_GT(inst.ProbabilityMemoryBytes(), 0u);
+}
+
+// Ads with bitwise-equal γ share one Eq. 1 vector and one in-arc table;
+// a different γ gets its own, with the contents a fresh mix would give.
+TEST(RmInstanceTest, EqualGammaSharesProbabilityStorage) {
+  auto g = test::MustGraph(
+      5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {1, 4}, {4, 0}});
+  auto topics = topic::MakeDegreeScaledRandom(g, 2, 3);
+  ASSERT_TRUE(topics.ok());
+  auto gamma = [](double w0) {
+    return topic::TopicDistribution::Create({w0, 1.0 - w0}).value();
+  };
+  std::vector<AdvertiserSpec> ads(4, Ad(1.0, 10.0));
+  ads[0].gamma = gamma(0.7);
+  ads[1].gamma = gamma(0.2);
+  ads[2].gamma = gamma(0.7);  // built separately, bitwise equal to ad 0
+  ads[3].gamma = gamma(0.2);
+  auto created = RmInstance::Create(
+      g, topics.value(), ads, std::vector<std::vector<double>>(
+                                  4, std::vector<double>(5, 1.0)));
+  ASSERT_TRUE(created.ok());
+  const RmInstance& inst = created.value();
+
+  EXPECT_EQ(inst.ad_probs(0).data(), inst.ad_probs(2).data());
+  EXPECT_EQ(inst.ad_probs(1).data(), inst.ad_probs(3).data());
+  EXPECT_NE(inst.ad_probs(0).data(), inst.ad_probs(1).data());
+  EXPECT_EQ(inst.ad_node_probs(0).data(), inst.ad_node_probs(2).data());
+  EXPECT_NE(inst.ad_node_probs(0).data(), inst.ad_node_probs(1).data());
+  for (uint32_t j = 0; j < 4; ++j) {
+    SCOPED_TRACE(testing::Message() << "ad " << j);
+    auto mixed = topic::AdProbabilities::Mix(topics.value(), ads[j].gamma);
+    ASSERT_TRUE(mixed.ok());
+    const auto want = mixed.value().probs();
+    const auto got = inst.ad_probs(j);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    const std::vector<double> table = rrset::InArcProbabilities(g, want);
+    const auto got_table = inst.ad_node_probs(j);
+    EXPECT_TRUE(std::equal(got_table.begin(), got_table.end(), table.begin(),
+                           table.end()));
+  }
+  // Two distinct vectors (m arcs) and two tables (n nodes).
+  EXPECT_EQ(inst.ProbabilityMemoryBytes(),
+            2 * (g.num_edges() + g.num_nodes()) * sizeof(double));
 }
 
 TEST(RmInstanceTest, ValidationErrors) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "diffusion/exact.h"
@@ -10,6 +13,8 @@
 #include "rrset/sample_sizer.h"
 #include "rrset/singleton_estimator.h"
 #include "tests/test_util.h"
+#include "topic/tic_model.h"
+#include "topic/topic_distribution.h"
 
 namespace isa::rrset {
 namespace {
@@ -96,6 +101,226 @@ TEST(RrEstimatorTest, MultiSeedCoverageEstimatesSpread) {
                std::find(rr.begin(), rr.end(), 3u) != rr.end();
   }
   EXPECT_NEAR(5.0 * covered / theta, exact, 0.02);
+}
+
+// ---------- IC fast path: per-node in-arc probabilities ----------
+
+// The reverse BFS as it was before the per-node table: one probs[eid]
+// gather per in-arc under IC, the cumulative pick under LT. Kept as the
+// oracle the fast path must match set by set and draw by draw.
+class PerArcOracle {
+ public:
+  PerArcOracle(const graph::Graph& g, std::span<const double> probs,
+               DiffusionModel model)
+      : g_(g), probs_(probs), model_(model), visited_(g.num_nodes(), 0) {}
+
+  graph::NodeId SampleInto(Rng& rng, std::vector<graph::NodeId>* out) {
+    out->clear();
+    ++epoch_;
+    width_ = 0;
+    const graph::NodeId root =
+        static_cast<graph::NodeId>(rng.NextBounded(g_.num_nodes()));
+    visited_[root] = epoch_;
+    out->push_back(root);
+    for (size_t head = 0; head < out->size(); ++head) {
+      const graph::NodeId v = (*out)[head];
+      auto sources = g_.InNeighbors(v);
+      auto eids = g_.InEdgeIds(v);
+      width_ += sources.size();
+      if (model_ == DiffusionModel::kIndependentCascade) {
+        for (size_t k = 0; k < sources.size(); ++k) {
+          const graph::NodeId u = sources[k];
+          if (visited_[u] == epoch_) continue;
+          if (rng.NextBernoulli(probs_[eids[k]])) {
+            visited_[u] = epoch_;
+            out->push_back(u);
+          }
+        }
+      } else {
+        if (sources.empty()) continue;
+        const double r = rng.NextDouble();
+        double acc = 0.0;
+        for (size_t k = 0; k < sources.size(); ++k) {
+          acc += probs_[eids[k]];
+          if (r < acc) {
+            const graph::NodeId u = sources[k];
+            if (visited_[u] != epoch_) {
+              visited_[u] = epoch_;
+              out->push_back(u);
+            }
+            break;
+          }
+        }
+      }
+    }
+    return root;
+  }
+
+  uint64_t last_width() const { return width_; }
+
+ private:
+  const graph::Graph& g_;
+  std::span<const double> probs_;
+  DiffusionModel model_;
+  std::vector<uint32_t> visited_;
+  uint32_t epoch_ = 0;
+  uint64_t width_ = 0;
+};
+
+// Random directed graph on 400 nodes: arcs mostly go up in id (so low ids
+// have few or no in-arcs), some go back down, the last 20 nodes are
+// isolated, and a few nodes collect dozens of in-arcs.
+graph::Graph MakeFastPathGraph() {
+  constexpr graph::NodeId kNodes = 400, kLinked = 380;
+  Rng rng(2024);
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 1; v < kLinked; ++v) {
+    const uint32_t indeg = v % 37 == 0 ? 40 : rng.NextBounded(6);
+    for (uint32_t k = 0; k < indeg; ++k) {
+      edges.push_back({static_cast<graph::NodeId>(rng.NextBounded(v)), v});
+    }
+    if (v % 5 == 0) {
+      edges.push_back(
+          {v, static_cast<graph::NodeId>(rng.NextBounded(kLinked))});
+    }
+  }
+  return test::MustGraph(kNodes, std::move(edges));
+}
+
+// Samples `sets` RR sets with the sampler under test (bare span and handed
+// table alike) and the oracle from equal Rng streams; every set, root and
+// width must agree, and so must the streams afterwards.
+void ExpectMatchesOracle(const graph::Graph& g, std::span<const double> probs,
+                         DiffusionModel model, int sets = 4000) {
+  const std::vector<double> table = InArcProbabilities(g, probs);
+  RrSampler bare(g, probs, model);
+  RrSampler handed(g, probs, model, table);
+  PerArcOracle oracle(g, probs, model);
+  Rng r_bare(77), r_handed(77), r_oracle(77);
+  std::vector<graph::NodeId> a, b, want;
+  for (int i = 0; i < sets; ++i) {
+    const graph::NodeId root = oracle.SampleInto(r_oracle, &want);
+    ASSERT_EQ(bare.SampleInto(r_bare, &a), root) << "set " << i;
+    ASSERT_EQ(handed.SampleInto(r_handed, &b), root) << "set " << i;
+    ASSERT_EQ(a, want) << "set " << i;
+    ASSERT_EQ(b, want) << "set " << i;
+    ASSERT_EQ(bare.last_width(), oracle.last_width()) << "set " << i;
+    ASSERT_EQ(handed.last_width(), oracle.last_width()) << "set " << i;
+  }
+  const uint64_t next = r_oracle.Next();
+  EXPECT_EQ(r_bare.Next(), next);
+  EXPECT_EQ(r_handed.Next(), next);
+}
+
+TEST(RrSamplerFastPathTest, InArcTableMarksUniformMixedAndSourceNodes) {
+  // 0 -> 2, 1 -> 2 (p 0.25 both), 0 -> 3, 1 -> 3 (0.25, 0.5), 2 -> 4
+  // (-0.0 and +0.0 differ bitwise, so node 4's two arcs are mixed).
+  auto g = test::MustGraph(5, {{0, 2}, {1, 2}, {0, 3}, {1, 3}, {2, 4}, {3, 4}});
+  std::vector<double> probs(g.num_edges());
+  auto set = [&](graph::NodeId u, graph::NodeId v, double p) {
+    auto srcs = g.InNeighbors(v);
+    auto eids = g.InEdgeIds(v);
+    for (size_t k = 0; k < srcs.size(); ++k) {
+      if (srcs[k] == u) probs[eids[k]] = p;
+    }
+  };
+  set(0, 2, 0.25);
+  set(1, 2, 0.25);
+  set(0, 3, 0.25);
+  set(1, 3, 0.5);
+  set(2, 4, -0.0);
+  set(3, 4, 0.0);
+  const std::vector<double> table = InArcProbabilities(g, probs);
+  ASSERT_EQ(table.size(), 5u);
+  EXPECT_EQ(table[0], 0.0);  // no in-arcs
+  EXPECT_EQ(table[1], 0.0);
+  EXPECT_EQ(table[2], 0.25);
+  EXPECT_EQ(table[3], kMixedInArcs);
+  EXPECT_EQ(table[4], kMixedInArcs);
+}
+
+TEST(RrSamplerFastPathTest, WeightedCascadeMatchesPerArcLoop) {
+  const graph::Graph g = MakeFastPathGraph();
+  auto topics = topic::MakeWeightedCascade(g, 1);
+  ASSERT_TRUE(topics.ok());
+  ExpectMatchesOracle(g, topics.value().topic(0),
+                      DiffusionModel::kIndependentCascade);
+}
+
+TEST(RrSamplerFastPathTest, UniformMatchesPerArcLoop) {
+  const graph::Graph g = MakeFastPathGraph();
+  for (double p : {0.0, 0.05, 0.3, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "p = " << p);
+    const std::vector<double> probs(g.num_edges(), p);
+    ExpectMatchesOracle(g, probs, DiffusionModel::kIndependentCascade, 1500);
+  }
+}
+
+TEST(RrSamplerFastPathTest, TopicMixMatchesPerArcLoop) {
+  const graph::Graph g = MakeFastPathGraph();
+  auto topics = topic::MakeDegreeScaledRandom(g, 3, 11);
+  ASSERT_TRUE(topics.ok());
+  auto gamma = topic::TopicDistribution::Create({0.5, 0.3, 0.2});
+  ASSERT_TRUE(gamma.ok());
+  auto mixed = topic::AdProbabilities::Mix(topics.value(), gamma.value());
+  ASSERT_TRUE(mixed.ok());
+  const std::vector<double> table =
+      InArcProbabilities(g, mixed.value().probs());
+  ASSERT_GT(std::count(table.begin(), table.end(), kMixedInArcs), 100);
+  ExpectMatchesOracle(g, mixed.value().probs(),
+                      DiffusionModel::kIndependentCascade);
+}
+
+// Per-node p drawn from {0, 1, 0.4, 0.07}, a fifth of the nodes mixed:
+// the p = 0 (no draw, nothing live) and p = 1 (no draw, every arc live)
+// shortcuts of NextBernoulli, next to uniform and mixed neighbours.
+TEST(RrSamplerFastPathTest, ZeroOneAndMixedNodesMatchPerArcLoop) {
+  const graph::Graph g = MakeFastPathGraph();
+  const double levels[] = {0.0, 1.0, 0.4, 0.07};
+  std::vector<double> probs(g.num_edges());
+  Rng rng(31);
+  uint32_t mixed_nodes = 0, zero_nodes = 0, one_nodes = 0;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const bool mixed = g.InDegree(v) > 1 && rng.NextBounded(5) == 0;
+    const double p = levels[rng.NextBounded(4)];
+    for (graph::EdgeId e : g.InEdgeIds(v)) {
+      probs[e] = mixed ? levels[rng.NextBounded(4)] : p;
+    }
+    if (g.InDegree(v) == 0) continue;
+    mixed_nodes += mixed;
+    zero_nodes += !mixed && p == 0.0;
+    one_nodes += !mixed && p == 1.0;
+  }
+  ASSERT_GT(mixed_nodes, 10u);
+  ASSERT_GT(zero_nodes, 10u);
+  ASSERT_GT(one_nodes, 10u);
+  ExpectMatchesOracle(g, probs, DiffusionModel::kIndependentCascade);
+}
+
+TEST(RrSamplerFastPathTest, LinearThresholdUnchanged) {
+  const graph::Graph g = MakeFastPathGraph();
+  auto topics = topic::MakeWeightedCascade(g, 1);
+  ASSERT_TRUE(topics.ok());
+  ExpectMatchesOracle(g, topics.value().topic(0),
+                      DiffusionModel::kLinearThreshold);
+}
+
+// After 2^32 - 1 sets the epoch wraps; the sampler must restart its
+// visited markers rather than treat every node as visited at epoch 0. On a
+// directed 6-cycle with p = 1 every RR set is the whole cycle.
+TEST(RrSamplerTest, EpochWraparoundKeepsSetsIntact) {
+  auto g =
+      test::MustGraph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  const std::vector<double> probs(g.num_edges(), 1.0);
+  RrSampler sampler(g, probs);
+  // The first set wraps, before any marker was written.
+  sampler.set_epoch_for_test(UINT32_MAX);
+  Rng rng(5);
+  std::vector<graph::NodeId> rr;
+  for (int i = 0; i < 4; ++i) {
+    sampler.SampleInto(rng, &rr);
+    EXPECT_EQ(rr.size(), 6u) << "set " << i;
+  }
 }
 
 // ---------- RrCollection ----------
