@@ -156,10 +156,6 @@ int main() {
     auto ti = isa::bench::QualityTiOptions();
     ti.theta_cap = 80'000;
     ti.window = 5000;
-    // Small chunks give the per-chunk envelope/Bloom filters something to
-    // skip at bench scale (the 4 MiB default would put the whole cold
-    // tier in one or two chunks); results are chunk-size independent.
-    ti.spill_chunk_bytes = 128ull << 10;
     auto reference = isa::core::RunTiCsrm(*setup.instance, ti);
     isa::bench::Check(reference.status(), "TI-CSRM unbudgeted");
     // Per-store budget base: the largest charged per-ad footprint (the

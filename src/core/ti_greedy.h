@@ -146,10 +146,11 @@ struct TiOptions {
   /// Directory for spill chunk files (empty = the system temp directory).
   /// Files are removed when the run's stores are destroyed.
   std::string spill_directory;
-  /// Chunk payload target for spill files (see SpillOptions). Smaller
-  /// chunks give the per-chunk Bloom/envelope filters more to skip;
-  /// larger chunks amortize the per-chunk read. Never affects computed
-  /// results, only I/O granularity and the chunk counters.
+  /// Cap on the spill chunk payload (SpillOptions::chunk_target_bytes).
+  /// Each eviction batch derives its own target — ~1/16 of the batch, at
+  /// least 64 KiB (rrset::SpillChunkTarget) — and this value only caps
+  /// it. Never affects computed results, only I/O granularity and the
+  /// chunk counters.
   uint64_t spill_chunk_bytes = 4ull << 20;
   /// Cold-scan queue depth: up to this many spill-chunk reads in flight
   /// per scan (SpillOptions::io_ring_depth; clamped to [1, 128]). 1

@@ -374,13 +374,4 @@ Result<LoadedDataset> DatasetCatalog::Load(const DatasetSpec& spec,
   return out;
 }
 
-Result<LoadedDataset> DatasetCatalog::Load(std::string_view name,
-                                           WeightingRegime regime,
-                                           const Options& options) {
-  auto spec = Resolve(name);
-  if (!spec.ok()) return spec.status();
-  spec.value().regime = regime;
-  return Load(spec.value(), options);
-}
-
 }  // namespace isa::graph

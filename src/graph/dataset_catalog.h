@@ -128,11 +128,6 @@ class DatasetCatalog {
   /// generator (see file comment). Weights follow spec.regime.
   static Result<LoadedDataset> Load(const DatasetSpec& spec,
                                     const Options& options);
-
-  /// Resolve + Load, with the regime overridden (the sweep's regime axis).
-  static Result<LoadedDataset> Load(std::string_view name,
-                                    WeightingRegime regime,
-                                    const Options& options);
 };
 
 /// Computes the regime's per-topic arc weights for an already-built graph

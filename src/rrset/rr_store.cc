@@ -281,7 +281,13 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
         options.bloom_bits_per_key);
   }
   scan_ring_depth_ = options.io_ring_depth;
-  const uint64_t target = std::max<uint64_t>(1, options.chunk_target_bytes);
+  const uint64_t batch = new_first - first_resident_;
+  // Every carve charges a set its sizes entry plus its nodes, so the
+  // batch's byte count is the sum the cut points are measured in.
+  const uint64_t target = SpillChunkTarget(
+      (PostingsInRange(first_resident_, new_first) + batch) *
+          sizeof(uint32_t),
+      options.chunk_target_bytes);
   // Cluster gate: a pure function of num_nodes — never of load or
   // schedule — so the chunk layout is deterministic. Tiny graphs keep
   // the zero-copy dense layout: their whole member universe fits every
@@ -323,16 +329,20 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
     // stays deterministic. The gathered nodes column is a copy — the
     // price of clustering — but eviction is rare and the copy is one
     // chunk at a time.
+    //
+    // Every step is a linear pass or a counting sort — eviction sits on
+    // the critical path of every budget barrier, so the carve must stay
+    // O(batch + num_nodes): (1) a stable counting sort by anchor yields
+    // the anchor order (ties keep ascending id order, exactly what a
+    // stable_sort by anchor would produce); (2) one walk of that order
+    // cuts it at the target and tags each set with its chunk; (3) a
+    // stable counting sort by chunk tag over ascending ids lists each
+    // chunk's ids ascending — the on-disk contract — with no per-chunk
+    // sort. The histogram is O(num_nodes), no bigger than the store's own
+    // per-node index structures.
     spill_->BeginBatch(first_resident_, new_first);
-    const uint64_t batch = new_first - first_resident_;
-    std::vector<graph::NodeId> anchor(batch, 0);
-    // Stable counting sort by anchor: O(batch + num_nodes) where a
-    // comparison sort costs O(batch log batch) — eviction sits on the
-    // critical path of every budget barrier, so the carve must stay
-    // cheap. Ties keep ascending id order (the scatter walks ids
-    // forward), exactly what a stable_sort by anchor would produce. The
-    // histogram is O(num_nodes), no bigger than the store's own per-node
-    // index structures.
+    // tag[r - first_resident_]: set r's anchor in (1), its chunk in (2).
+    std::vector<uint32_t> tag(batch, 0);
     std::vector<uint32_t> start(num_nodes_ + 1, 0);
     for (uint64_t r = first_resident_; r < new_first; ++r) {
       const std::span<const graph::NodeId> members = SetMembers(r);
@@ -341,35 +351,45 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
         a = members[0];
         for (const graph::NodeId m : members) a = std::min(a, m);
       }
-      anchor[r - first_resident_] = a;
+      tag[r - first_resident_] = a;
       ++start[a + 1];
     }
     for (uint64_t v = 1; v <= num_nodes_; ++v) start[v] += start[v - 1];
     std::vector<uint32_t> order(batch);
     for (uint64_t r = first_resident_; r < new_first; ++r) {
-      order[start[anchor[r - first_resident_]]++] =
-          static_cast<uint32_t>(r);
+      order[start[tag[r - first_resident_]]++] = static_cast<uint32_t>(r);
+    }
+    // (2) A chunk takes sets while its bytes are below the target, so it
+    // closes at the first set boundary at or past it. Charge sizes +
+    // nodes only — the same accounting as the dense path, so clustering
+    // never changes the chunk count. The sparse ids column rides on top
+    // of the target on disk. chunk_start[c] is chunk c's first slot; the
+    // last entry is `batch`.
+    std::vector<uint64_t> chunk_start{0};
+    uint64_t bytes = 0;
+    for (uint64_t k = 0; k < batch; ++k) {
+      if (bytes >= target) {
+        chunk_start.push_back(k);
+        bytes = 0;
+      }
+      const uint32_t id = order[k];
+      bytes += PostingsInRange(id, id + 1) * sizeof(graph::NodeId) +
+               sizeof(uint32_t);
+      tag[id - first_resident_] =
+          static_cast<uint32_t>(chunk_start.size() - 1);
+    }
+    chunk_start.push_back(batch);
+    // (3) Chunk membership is what clusters; on disk ids ascend within a
+    // chunk. Reuses `order` for the chunk-grouped ascending ids.
+    std::vector<uint64_t> cursor(chunk_start.begin(), chunk_start.end() - 1);
+    for (uint64_t r = first_resident_; r < new_first; ++r) {
+      order[cursor[tag[r - first_resident_]]++] = static_cast<uint32_t>(r);
     }
     std::vector<uint32_t> sizes;
-    std::vector<uint32_t> ids;
     std::vector<graph::NodeId> nodes;
-    size_t k = 0;
-    while (k < order.size()) {
-      ids.clear();
-      uint64_t bytes = 0;
-      while (k < order.size() && bytes < target) {
-        const uint32_t id = order[k];
-        // Charge sizes + nodes only — the same accounting as the dense
-        // path, so clustering never changes the chunk count. The sparse
-        // ids column rides on top of the target on disk.
-        bytes += PostingsInRange(id, id + 1) * sizeof(graph::NodeId) +
-                 sizeof(uint32_t);
-        ids.push_back(id);
-        ++k;
-      }
-      // Chunk membership is what clusters; on disk the contract stays
-      // "ids ascend within a chunk", so sort before gathering.
-      std::sort(ids.begin(), ids.end());
+    for (size_t c = 0; c + 1 < chunk_start.size(); ++c) {
+      const std::span<const uint32_t> ids(order.data() + chunk_start[c],
+                                          chunk_start[c + 1] - chunk_start[c]);
       sizes.clear();
       nodes.clear();
       for (const uint32_t id : ids) {
@@ -381,8 +401,7 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
       // the footer mirror.
       const bool dense = ids.back() - ids.front() + 1 == ids.size();
       spill_->AppendChunk(ids.front(), ids.back() + 1, sizes, nodes,
-                          dense ? std::span<const uint32_t>()
-                                : std::span<const uint32_t>(ids));
+                          dense ? std::span<const uint32_t>() : ids);
     }
   }
   DropPrefix(new_first, pool);

@@ -36,8 +36,12 @@
 // Node-clustered chunk layout: within one eviction batch, sets are
 // ordered by their ANCHOR — the minimum member node id, which under the
 // usual hub-first numbering is the set's most influential member — and
-// that order is carved into target-sized chunks (a stable counting sort;
-// the layout is a pure function of the batch's members, never of load).
+// that order is carved into target-sized chunks (counting sorts and
+// linear walks only; the layout is a pure function of the batch's
+// members, never of load). The target itself is derived from the batch
+// (SpillChunkTarget: ~1/16 of it, at least 64 KiB, capped by
+// SpillOptions::chunk_target_bytes), so every eviction splits into
+// enough chunks for the filters to skip and the read queue to overlap.
 // Sets sharing a dominant member land in the same chunks, so when that
 // member is committed as a seed every set containing it dies at once and
 // whole chunks drop out of later scans via the caller's alive filter;
@@ -179,7 +183,8 @@ class RrStore {
   // ---- Spill tier (mechanism; policy in tiered_store.h). ----
 
   /// Evicts resident sets [first_resident_set(), new_first) to the spill
-  /// file in columnar chunks of ~options.chunk_target_bytes, drops their
+  /// file in columnar chunks of ~SpillChunkTarget(batch bytes,
+  /// options.chunk_target_bytes) (spill_file.h), drops their
   /// members and offsets from memory (exact-fit shrink, so MemoryBytes
   /// genuinely falls), and rebuilds the inverted index over the remaining
   /// hot sets (sharded across `pool` when given). The caller must

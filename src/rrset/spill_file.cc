@@ -182,6 +182,26 @@ void SpillFile::ReadAll(void* data, size_t len, uint64_t offset) const {
   }
 }
 
+uint64_t SpillChunkTarget(uint64_t batch_bytes, uint64_t cap) {
+  return std::min(std::max<uint64_t>(1, cap),
+                  std::max(kMinSpillChunkBytes,
+                           batch_bytes / kSpillChunksPerBatch));
+}
+
+uint64_t CountDistinctNodes(std::span<const graph::NodeId> nodes,
+                            graph::NodeId node_min, graph::NodeId node_max) {
+  if (nodes.empty()) return 0;
+  ISA_CHECK(node_min <= node_max);
+  std::vector<uint64_t> seen((uint64_t{node_max} - node_min) / 64 + 1, 0);
+  for (const graph::NodeId v : nodes) {
+    const uint64_t bit = v - node_min;
+    seen[bit >> 6] |= 1ull << (bit & 63);
+  }
+  uint64_t distinct = 0;
+  for (const uint64_t word : seen) distinct += std::popcount(word);
+  return distinct;
+}
+
 std::string MakeSpillPath(const std::string& dir) {
   static std::atomic<uint64_t> seq{0};
   std::string base = dir;
@@ -265,13 +285,10 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   if (bloom_bits_per_key_ > 0 && !nodes.empty()) {
     // Size the filter on DISTINCT ids — RR sets of the same chunk overlap
     // heavily on hub nodes, and sizing on raw postings would pay for each
-    // duplicate. One sort of the chunk's postings at spill time buys an
-    // exact count.
-    distinct_scratch_.assign(nodes.begin(), nodes.end());
-    std::sort(distinct_scratch_.begin(), distinct_scratch_.end());
-    const uint64_t distinct = static_cast<uint64_t>(
-        std::unique(distinct_scratch_.begin(), distinct_scratch_.end()) -
-        distinct_scratch_.begin());
+    // duplicate. A bitmap over the envelope buys an exact count in one
+    // linear pass.
+    const uint64_t distinct =
+        CountDistinctNodes(nodes, meta.node_min, meta.node_max);
     const uint64_t bits =
         std::bit_ceil(std::max<uint64_t>(64, distinct * bloom_bits_per_key_));
     meta.bloom.assign(bits / 64, 0);

@@ -24,10 +24,11 @@
 // bloom words and sparse id lists included — so scans can skip chunks by
 // id range, by the node-id [min, max] envelope, or by a Bloom miss without
 // touching the disk (ChunkMightContain). The filter is built at spill
-// time over the chunk's distinct member ids (k = 3 probes by double
-// hashing, bloom_bits_per_key bits per distinct id rounded up to a
-// power-of-two word count), so a low-selectivity seed skips most chunks at
-// ~1 bit of resident cost per posting.
+// time over the chunk's distinct member ids (counted on a bitmap of the
+// node-id envelope; k = 3 probes by double hashing, bloom_bits_per_key
+// bits per distinct id rounded up to a power-of-two word count), so a
+// low-selectivity seed skips most chunks at ~1 bit of resident cost per
+// posting.
 //
 // I/O: appends are buffered pwrites and reads buffered preads on one fd.
 // All reads use positional I/O, so concurrent chunk reads need no locking.
@@ -75,7 +76,9 @@ struct SpillOptions {
   /// directory (see MakeSpillPath). The actual file may get a retry
   /// suffix when the exclusive create loses a race — see SpillFile::path.
   std::string path;
-  /// Target payload bytes per chunk. Chunks close at the first set
+  /// Cap on the payload bytes per chunk. Each eviction batch is carved
+  /// at SpillChunkTarget(batch bytes, this cap): about 1/16 of the batch,
+  /// at least 64 KiB, never above the cap. Chunks close at the first set
   /// boundary past the target, so one oversized RR set still lands in a
   /// single (oversized) chunk. Smaller chunks skip better on scans;
   /// larger chunks amortize the per-chunk read syscall.
@@ -90,6 +93,26 @@ struct SpillOptions {
   /// to the old one-outstanding pipeline.
   uint32_t io_ring_depth = AsyncFileReader::kDefaultDepth;
 };
+
+/// The chunk payload target for one eviction batch of `batch_bytes`
+/// (sizes + nodes columns, 4 B per set and per posting): the batch split
+/// into kSpillChunksPerBatch chunks, raised to kMinSpillChunkBytes, then
+/// capped at `cap` (SpillOptions::chunk_target_bytes; 0 counts as 1). A
+/// pure function of the batch, so the layout never depends on load,
+/// schedule or pool. Enough chunks per batch give the envelope, Bloom and
+/// alive filters something to skip and the read queue something to
+/// overlap; the floor keeps the per-chunk read and 4 KiB region padding
+/// small against the payload.
+inline constexpr uint64_t kSpillChunksPerBatch = 16;
+inline constexpr uint64_t kMinSpillChunkBytes = 64ull << 10;
+uint64_t SpillChunkTarget(uint64_t batch_bytes, uint64_t cap);
+
+/// Distinct ids in `nodes`, every one of which lies in [node_min,
+/// node_max]: one pass over a bitmap of the envelope (node_max - node_min
+/// + 1 bits, at most the graph's node count / 8 bytes). 0 for no nodes.
+/// Sizes each chunk's Bloom filter.
+uint64_t CountDistinctNodes(std::span<const graph::NodeId> nodes,
+                            graph::NodeId node_min, graph::NodeId node_max);
 
 /// A process-unique spill file path: `<dir>/isa-spill-<pid>-<seq>.bin`,
 /// with `dir` defaulting to std::filesystem::temp_directory_path().
@@ -233,7 +256,6 @@ class SpillFile {
   uint64_t batch_lo_ = 0;
   uint64_t batch_hi_ = 0;
   std::vector<ChunkMeta> chunks_;
-  std::vector<graph::NodeId> distinct_scratch_;  // AppendChunk's sort buffer
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> retry_successes_{0};
 };

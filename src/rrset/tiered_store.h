@@ -51,7 +51,8 @@ struct TieredStoreOptions {
   /// disables spilling entirely — the tier is then a no-op and the run is
   /// byte-identical to one without a tier.
   uint64_t rr_memory_budget_bytes = 0;
-  /// Chunk payload target for the spill file (see SpillOptions).
+  /// Cap on the spill chunk payload; each eviction batch derives its
+  /// own target below it (see SpillOptions::chunk_target_bytes).
   uint64_t chunk_target_bytes = 4ull << 20;
   /// Directory for the chunk file (empty = system temp directory). The
   /// file is removed when the store dies.

@@ -50,6 +50,16 @@ uint64_t GraphHash(const Graph& g) {
   return h;
 }
 
+// Resolve + Load(spec) under weighted cascade — how every caller loads a
+// named dataset.
+Result<LoadedDataset> LoadWeightedCascade(
+    std::string_view name, const DatasetCatalog::Options& options) {
+  auto spec = DatasetCatalog::Resolve(name);
+  if (!spec.ok()) return spec.status();
+  spec.value().regime = WeightingRegime::kWeightedCascade;
+  return DatasetCatalog::Load(spec.value(), options);
+}
+
 // --- Edge-list fixture round-trip -----------------------------------------
 
 // tests/data/mini_snap.txt: 12 lines = 3 comments ('#' and '%') + 2 blanks
@@ -138,8 +148,7 @@ TEST(DatasetCatalogTest, RealFileWinsAndUndirectedDoubles) {
   }
   DatasetCatalog::Options opt;
   opt.data_dir = dir;
-  auto loaded = DatasetCatalog::Load(
-      "com-dblp", WeightingRegime::kWeightedCascade, opt);
+  auto loaded = LoadWeightedCascade("com-dblp", opt);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value().from_file);
   EXPECT_EQ(loaded.value().source.rfind("file:", 0), 0u)
@@ -159,10 +168,8 @@ TEST(DatasetCatalogTest, FallbackGeneratorIsDeterministic) {
   opt.data_dir = MakeTempDir("det");  // empty: no file, no cache
   opt.cache_synthetic = false;
   opt.scale = 0.01;
-  auto a = DatasetCatalog::Load("soc-epinions1",
-                                WeightingRegime::kWeightedCascade, opt);
-  auto b = DatasetCatalog::Load("soc-epinions1",
-                                WeightingRegime::kWeightedCascade, opt);
+  auto a = LoadWeightedCascade("soc-epinions1", opt);
+  auto b = LoadWeightedCascade("soc-epinions1", opt);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_FALSE(a.value().from_file);
@@ -174,8 +181,7 @@ TEST(DatasetCatalogTest, FallbackGeneratorIsDeterministic) {
   // seed, not a hardcoded artifact).
   auto seeded = opt;
   seeded.seed = 777;
-  auto c = DatasetCatalog::Load("soc-epinions1",
-                                WeightingRegime::kWeightedCascade, seeded);
+  auto c = LoadWeightedCascade("soc-epinions1", seeded);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_NE(GraphHash(a.value().graph), GraphHash(c.value().graph));
 }
@@ -184,12 +190,10 @@ TEST(DatasetCatalogTest, SyntheticCacheRoundTrip) {
   DatasetCatalog::Options opt;
   opt.data_dir = MakeTempDir("cache");
   opt.scale = 0.01;
-  auto first = DatasetCatalog::Load("com-dblp",
-                                    WeightingRegime::kWeightedCascade, opt);
+  auto first = LoadWeightedCascade("com-dblp", opt);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first.value().source, "synthetic:ba");
-  auto second = DatasetCatalog::Load("com-dblp",
-                                     WeightingRegime::kWeightedCascade, opt);
+  auto second = LoadWeightedCascade("com-dblp", opt);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second.value().source.rfind("cache:", 0), 0u)
       << second.value().source;
@@ -198,9 +202,7 @@ TEST(DatasetCatalogTest, SyntheticCacheRoundTrip) {
   // The cache key embeds the scale: a different scale regenerates.
   auto rescaled = opt;
   rescaled.scale = 0.005;
-  auto third = DatasetCatalog::Load("com-dblp",
-                                    WeightingRegime::kWeightedCascade,
-                                    rescaled);
+  auto third = LoadWeightedCascade("com-dblp", rescaled);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(third.value().source, "synthetic:ba");
   EXPECT_LT(third.value().graph.num_nodes(),
@@ -211,13 +213,11 @@ TEST(DatasetCatalogTest, SyntheticCacheRoundTrip) {
   near_a.scale = 0.01001;
   auto near_b = opt;
   near_b.scale = 0.01004;
-  auto fourth = DatasetCatalog::Load(
-      "com-dblp", WeightingRegime::kWeightedCascade, near_a);
+  auto fourth = LoadWeightedCascade("com-dblp", near_a);
   ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
   EXPECT_EQ(fourth.value().source, "synthetic:ba");
   EXPECT_EQ(fourth.value().graph.num_nodes(), 3'173u);
-  auto fifth = DatasetCatalog::Load(
-      "com-dblp", WeightingRegime::kWeightedCascade, near_b);
+  auto fifth = LoadWeightedCascade("com-dblp", near_b);
   ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
   EXPECT_EQ(fifth.value().source, "synthetic:ba");
   EXPECT_EQ(fifth.value().graph.num_nodes(), 3'183u);
@@ -228,8 +228,7 @@ TEST(DatasetCatalogTest, RejectsBadScale) {
   opt.data_dir = MakeTempDir("scale");
   for (double scale : {0.0, -0.5, 1.5}) {
     opt.scale = scale;
-    EXPECT_FALSE(DatasetCatalog::Load(
-                     "com-dblp", WeightingRegime::kWeightedCascade, opt)
+    EXPECT_FALSE(LoadWeightedCascade("com-dblp", opt)
                      .ok())
         << scale;
   }

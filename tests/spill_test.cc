@@ -1,5 +1,6 @@
 // The out-of-core RR store: SpillFile round-trips, RrStore::SpillPrefix
-// mechanics, cold-tier coverage removal equivalence, the TieredRrStore
+// mechanics and chunk layout, cold-tier coverage removal equivalence, the
+// TieredRrStore
 // budget policy, and the end-to-end invariant — a fixed seed yields a
 // bit-identical TiResult at any thread count and ANY memory budget
 // (spilling changes where bytes live, never what is computed).
@@ -7,8 +8,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -847,6 +851,243 @@ TEST_F(SpillScanKernelTest, RandomChunksMatchOracle) {
     ASSERT_EQ(Scan(v, max_id, alive, &pool), Expected(v, max_id, alive))
         << "node " << v << " max_id " << max_id;
   }
+}
+
+// ------------------------------------------------------------ chunk layout
+
+// The clustered carve as it was first written: a stable sort of the batch
+// by anchor (minimum member), cut into chunks that take sets while their
+// sizes + nodes bytes are below `target`, each chunk's ids then sorted.
+// The linear carve in RrStore::SpillPrefix must reproduce it exactly.
+std::vector<std::vector<uint32_t>> SortedCarve(
+    const std::vector<Members>& members, uint64_t lo, uint64_t hi,
+    uint64_t target) {
+  std::vector<uint32_t> order;
+  for (uint64_t r = lo; r < hi; ++r) order.push_back(static_cast<uint32_t>(r));
+  const auto anchor = [&](uint32_t r) {
+    const Members& m = members[r];
+    return m.empty() ? graph::NodeId{0}
+                     : *std::min_element(m.begin(), m.end());
+  };
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return anchor(a) < anchor(b);
+  });
+  std::vector<std::vector<uint32_t>> chunks;
+  size_t k = 0;
+  while (k < order.size()) {
+    std::vector<uint32_t> ids;
+    uint64_t bytes = 0;
+    while (k < order.size() && bytes < target) {
+      bytes += (members[order[k]].size() + 1) * sizeof(uint32_t);
+      ids.push_back(order[k++]);
+    }
+    std::sort(ids.begin(), ids.end());
+    chunks.push_back(std::move(ids));
+  }
+  return chunks;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+uint64_t SortUniqueCount(std::vector<graph::NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  return static_cast<uint64_t>(
+      std::unique(nodes.begin(), nodes.end()) - nodes.begin());
+}
+
+class SpillLayoutTest : public testing::Test {
+ protected:
+  // A clustered store (past the 4096-node gate) whose second batch is
+  // large enough for its derived chunk target to clear the floor.
+  static constexpr uint64_t kSets = 60000;
+  static constexpr uint64_t kFirstBatch = 1000;
+
+  SpillLayoutTest() : graph_(MakeBaGraph(5000, 3)) {
+    const RrStore store = Sample();
+    for (uint64_t r = 0; r < store.num_sets(); ++r) {
+      const auto m = store.SetMembers(r);
+      members_.emplace_back(m.begin(), m.end());
+    }
+  }
+
+  RrStore Sample() const {
+    RrStore store(graph_.num_nodes());
+    const std::vector<double> probs(graph_.num_edges(), 0.3);
+    MakeSampler(graph_, probs, /*threads=*/1).SampleAppend(store, kSets);
+    return store;
+  }
+
+  uint64_t BatchBytes(uint64_t lo, uint64_t hi) const {
+    uint64_t bytes = 0;
+    for (uint64_t r = lo; r < hi; ++r) {
+      bytes += (members_[r].size() + 1) * sizeof(uint32_t);
+    }
+    return bytes;
+  }
+
+  // Writes the sorted carve of batch [lo, hi) at `cap` into `file`.
+  void AppendSortedCarve(SpillFile& file, uint64_t lo, uint64_t hi,
+                         uint64_t cap) const {
+    file.BeginBatch(lo, hi);
+    const uint64_t target = rrset::SpillChunkTarget(BatchBytes(lo, hi), cap);
+    for (const std::vector<uint32_t>& ids :
+         SortedCarve(members_, lo, hi, target)) {
+      std::vector<uint32_t> sizes;
+      std::vector<graph::NodeId> nodes;
+      for (const uint32_t r : ids) {
+        sizes.push_back(static_cast<uint32_t>(members_[r].size()));
+        nodes.insert(nodes.end(), members_[r].begin(), members_[r].end());
+      }
+      const bool dense = ids.back() - ids.front() + 1 == ids.size();
+      file.AppendChunk(ids.front(), ids.back() + 1, sizes, nodes,
+                       dense ? std::span<const uint32_t>()
+                             : std::span<const uint32_t>(ids));
+    }
+  }
+
+  Graph graph_;
+  std::vector<Members> members_;  // per set id, pre-spill
+};
+
+TEST_F(SpillLayoutTest, DerivedTargetIsBatchShareWithinFloorAndCap) {
+  constexpr uint64_t kFloor = rrset::kMinSpillChunkBytes;
+  constexpr uint64_t kCap = 4ull << 20;
+  EXPECT_EQ(kFloor, 64u << 10);
+  EXPECT_EQ(rrset::kSpillChunksPerBatch, 16u);
+  EXPECT_EQ(rrset::SpillChunkTarget(0, kCap), kFloor);
+  EXPECT_EQ(rrset::SpillChunkTarget(16 * kFloor, kCap), kFloor);
+  EXPECT_EQ(rrset::SpillChunkTarget(32 * kFloor + 15, kCap), 2 * kFloor);
+  EXPECT_EQ(rrset::SpillChunkTarget(uint64_t{1} << 40, kCap), kCap);
+  // The cap wins over the floor, so small forced targets are kept as is.
+  EXPECT_EQ(rrset::SpillChunkTarget(1ull << 30, 4096), 4096u);
+  EXPECT_EQ(rrset::SpillChunkTarget(1ull << 30, 1), 1u);
+  EXPECT_EQ(rrset::SpillChunkTarget(1ull << 30, 0), 1u);
+  EXPECT_EQ(SpillOptions().chunk_target_bytes, kCap);
+  EXPECT_EQ(TieredStoreOptions().chunk_target_bytes, kCap);
+  EXPECT_EQ(TiOptions().spill_chunk_bytes, kCap);
+}
+
+// Two batches — the first below the floor, so its target is larger than
+// the batch — at forced targets down to one set per chunk and at the
+// default cap: the spill file is byte for byte the file the sorted carve
+// writes, so chunk membership, ascending ids, both columns, envelopes,
+// Bloom words and footers all match.
+TEST_F(SpillLayoutTest, LinearCarveMatchesSortedCarve) {
+  ASSERT_LT(BatchBytes(0, kFirstBatch), rrset::kMinSpillChunkBytes);
+  ASSERT_GT(BatchBytes(kFirstBatch, kSets),
+            rrset::kSpillChunksPerBatch * rrset::kMinSpillChunkBytes);
+  for (const uint64_t cap :
+       {uint64_t{1}, uint64_t{4096}, uint64_t{16384}, uint64_t{4} << 20}) {
+    SCOPED_TRACE(testing::Message() << "cap " << cap);
+    // One set per chunk would write kSets regions; one batch is enough.
+    const uint64_t end = cap == 1 ? kFirstBatch : kSets;
+    SpillOptions so;
+    so.path = rrset::MakeSpillPath();
+    so.chunk_target_bytes = cap;
+    RrStore store = Sample();
+    store.SpillPrefix(kFirstBatch, so);
+    if (end > kFirstBatch) store.SpillPrefix(end, so);
+
+    SpillFile reference(rrset::MakeSpillPath());
+    AppendSortedCarve(reference, 0, kFirstBatch, cap);
+    if (end > kFirstBatch) AppendSortedCarve(reference, kFirstBatch, end, cap);
+    ASSERT_EQ(store.SpillChunks(), reference.num_chunks());
+    if (cap == 1) {
+      EXPECT_EQ(reference.num_chunks(), kFirstBatch);
+    }
+    if (cap == (uint64_t{4} << 20)) {
+      // A sub-floor batch is one chunk; the large one splits.
+      EXPECT_EQ(reference.chunks()[0].NumSets(), kFirstBatch);
+      EXPECT_GT(reference.num_chunks(), 2u);
+    }
+    EXPECT_EQ(store.SpilledBytes(), reference.bytes_on_disk());
+    EXPECT_TRUE(FileBytes(so.path) == FileBytes(reference.path()));
+
+    // The Bloom filter is sized on the sort + unique distinct count.
+    for (size_t c = 0; c < reference.num_chunks(); ++c) {
+      std::vector<uint32_t> sizes;
+      std::vector<graph::NodeId> nodes;
+      reference.ReadChunk(c, &sizes, &nodes);
+      const uint64_t bits =
+          std::bit_ceil(std::max<uint64_t>(64, SortUniqueCount(nodes) * 8));
+      ASSERT_EQ(reference.chunks()[c].bloom.size(), bits / 64) << c;
+    }
+  }
+}
+
+TEST_F(SpillLayoutTest, BitmapDistinctCountMatchesSortUnique) {
+  const auto check = [](const Members& nodes) {
+    if (nodes.empty()) {
+      EXPECT_EQ(rrset::CountDistinctNodes(nodes, 0, 0), 0u);
+      return;
+    }
+    const auto [lo, hi] = std::minmax_element(nodes.begin(), nodes.end());
+    EXPECT_EQ(rrset::CountDistinctNodes(nodes, *lo, *hi),
+              SortUniqueCount(nodes))
+        << "envelope [" << *lo << ", " << *hi << "]";
+  };
+  const graph::NodeId last = 4095;  // node n - 1 of a 4096-node graph
+  check({});                                  // empty envelope
+  check({42});                                // single node
+  check({42, 42, 42, 42});                    // single node, repeated
+  check({0, 0, 3, 0, 9, 3, 0, 0});            // repeated hub postings
+  check({0, last, 0, last, 17, last});        // both ends of the graph
+  check({last});
+  check({63, 64});                            // a bitmap word seam
+  check({64, 127, 128, 64, 191, 192});        // offset envelope, seams
+  check({0xFFFFFFFEu, 0xFFFFFFFFu, 0xFFFFFFFFu});  // top of the id range
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const graph::NodeId base =
+        static_cast<graph::NodeId>(rng.NextBounded(1000));
+    const uint64_t width = 1 + rng.NextBounded(300);
+    Members nodes(rng.NextBounded(400));
+    for (graph::NodeId& v : nodes) {
+      // Skewed to low ids: a few hubs carry most postings.
+      const uint64_t a = rng.NextBounded(width);
+      v = base + static_cast<graph::NodeId>(a * rng.NextBounded(width) /
+                                            width);
+    }
+    check(nodes);
+  }
+
+  // AppendChunk sizes its Bloom filter on the same count: 8 distinct ids
+  // fill exactly one 64-bit word at 8 bits per key, a 9th needs two.
+  SpillFile file(rrset::MakeSpillPath());
+  const Members eight = {0, 1, 0, 2, 3, 0, 4, 5, 6, last, 0, last};
+  Members nine = eight;
+  nine.push_back(7);
+  file.AppendChunk(0, 1, std::vector<uint32_t>{12}, eight);
+  file.AppendChunk(1, 2, std::vector<uint32_t>{13}, nine);
+  EXPECT_EQ(file.chunks()[0].bloom.size(), 1u);
+  EXPECT_EQ(file.chunks()[1].bloom.size(), 2u);
+}
+
+// The default options carve a batch past twice the floor into several
+// chunks, and the carve is a pure function of the batch: spilling with
+// and without a pool writes the same file.
+TEST_F(SpillLayoutTest, DefaultOptionsSplitBatchSameWithAndWithoutPool) {
+  const uint64_t batch_bytes = BatchBytes(0, kSets);
+  ASSERT_GT(batch_bytes, 2 * rrset::kMinSpillChunkBytes);
+  ThreadPool pool(4);
+  std::string layout[2];
+  for (const bool use_pool : {false, true}) {
+    SpillOptions so;
+    so.path = rrset::MakeSpillPath();
+    RrStore store = Sample();
+    store.SpillPrefix(kSets, so, use_pool ? &pool : nullptr);
+    EXPECT_GT(store.SpillChunks(), 1u);
+    // About one chunk per target's worth of bytes; the last may be short.
+    const uint64_t target = rrset::SpillChunkTarget(
+        batch_bytes, SpillOptions().chunk_target_bytes);
+    EXPECT_LE(store.SpillChunks(), (batch_bytes + target - 1) / target);
+    layout[use_pool] = FileBytes(so.path);
+  }
+  EXPECT_FALSE(layout[0].empty());
+  EXPECT_TRUE(layout[0] == layout[1]);
 }
 
 }  // namespace

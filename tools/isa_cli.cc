@@ -60,11 +60,10 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
                         the computed allocation)             [0]
   --spill-dir PATH      directory for spill chunk files (default:
                         system temp dir; files are removed on exit)
-  --spill-chunk-bytes B chunk payload target for spill files (> 0;
-                        smaller chunks give the envelope/Bloom
-                        filters more to skip, larger chunks
-                        amortize per-chunk reads; never changes
-                        computed results)              [4194304]
+  --spill-chunk-bytes B cap on the spill chunk payload (> 0; each
+                        eviction batch is carved at ~1/16 of its
+                        bytes, at least 64 KiB, capped here;
+                        never changes computed results)  [4194304]
   --io-ring-depth D     cold-scan chunk reads in flight (1..128;
                         1 = the old one-outstanding pipeline;
                         never changes computed results)     [16]
