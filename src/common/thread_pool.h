@@ -4,8 +4,8 @@
 // invocation) and borrowed by every component that can use parallelism:
 // RR-set sampling (rrset::ParallelSampler), the KPT pilot
 // (rrset::SampleSizer), the inverted-index build (rrset::RrStore), coverage
-// adoption (rrset::RrCollection) and the selection engine's async θ-growth
-// (core::SelectionScheduler). Replacing the previous thread-per-batch
+// adoption (rrset::RrCollection) and the cold tier's chunk reads
+// (common::AsyncFileReader). Replacing the previous thread-per-batch
 // spawning, the pool's threads are started once and reused, so even the
 // driver's many small sample-growth batches pay no thread construction cost.
 //
@@ -15,7 +15,7 @@
 //     c - 1 background workers and never idles the caller.
 //   - Launch(n, fn) posts the same kind of batch WITHOUT blocking and
 //     returns a TaskGroup handle; background workers start on it
-//     immediately while the caller keeps going (the async sample-growth
+//     immediately while the caller keeps going (the cold-tier read
 //     overlap). TaskGroup::Wait() joins the batch: the caller claims any
 //     still-unclaimed tasks, blocks until in-flight ones finish, and
 //     rethrows the batch's first exception. On a pool with no background

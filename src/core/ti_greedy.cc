@@ -157,7 +157,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.ratio_keyed_heap =
             options.candidate_rule == CandidateRule::kCoverageCostRatio &&
             (options.window == 0 || options.window >= n);
-        eo.async_capable = options.async_growth && groups[gi].size() == 1;
         eo.sampler_seed = HashSeed(options.seed, j);
         eo.model = options.propagation;
         eo.sizer = sizer;
@@ -235,7 +234,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       counted_stores.push_back(store);
       st.rr_memory_bytes += store->MemoryBytes();
       st.rr_index_bytes = store->IndexBytes();
-      st.rr_index_legacy_bytes = store->LegacyIndexBytes();
       st.spilled_bytes = store->SpilledBytes();
       st.spill_chunks = store->SpillChunks();
       st.scan_reloads = store->scan_reloads();
@@ -268,7 +266,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     result.total_theta += st.theta;
     result.total_rr_memory_bytes += st.rr_memory_bytes;
     result.total_rr_index_bytes += st.rr_index_bytes;
-    result.total_rr_index_legacy_bytes += st.rr_index_legacy_bytes;
     result.total_spilled_bytes += st.spilled_bytes;
     result.total_spill_chunks += st.spill_chunks;
     result.total_scan_reloads += st.scan_reloads;

@@ -26,11 +26,11 @@
 //     core/advertiser_engine.h);
 //   - per-ad candidate caching: ad j's candidate can only change when j
 //     received a seed, j's sample grew, or the cached node was taken by
-//     another ad / found infeasible — so most rounds recompute one ad;
-//   - optional async θ-growth (TiOptions::async_growth): new sample
-//     batches are drawn on pool workers while other advertisers' rounds
-//     proceed, adopted at a deterministic barrier (see
-//     core/selection_scheduler.h).
+//     another ad / found infeasible — so most rounds recompute one ad.
+//
+// θ-growth is synchronous, as Algorithm 2 writes it: a revision of s̃_j
+// that raises θ(s̃_j) samples and adopts the new sets before the next
+// round.
 //
 // The implementation is layered: per-advertiser state lives in
 // core::AdvertiserEngine, the round loop in core::SelectionScheduler;
@@ -113,23 +113,8 @@ struct TiOptions {
   /// paper's open problem (i) on TI-CSRM memory). Off by default — the
   /// paper's Algorithm 2 keeps one sample per advertiser.
   bool share_samples = false;
-  /// Overlap θ-growth with selection rounds (the staged engine's async
-  /// mode): when the sample sizer decides θ_j must grow, the new batch is
-  /// sampled on pool workers into side buffers while other advertisers'
-  /// rounds proceed, and is appended + adopted at a deterministic barrier
-  /// `growth_delay_rounds` rounds after the trigger (fixed round index,
-  /// ascending ad order at the barrier). A fixed seed therefore still
-  /// yields a bit-identical TiResult at ANY thread count; worker
-  /// availability only decides whether sampling actually overlaps. During
-  /// the gap the advertiser keeps selecting against its current sample, so
-  /// allocations can differ from the synchronous schedule —
-  /// deterministically so. Ads sharing a store (share_samples) always grow
-  /// synchronously, keeping store appends ordered.
-  bool async_growth = false;
-  /// Rounds between an async growth trigger and its adoption barrier
-  /// (values < 1 behave as 1). Larger values overlap more sampling but let
-  /// selection run longer on the smaller (noisier) sample.
-  uint32_t growth_delay_rounds = 2;
+  /// rmbench compatibility only; no value (see rrset::RmbenchCompat).
+  [[no_unique_address]] rrset::RmbenchCompat async_growth;
   /// Resident-byte target per physical RR store (0 = unbudgeted, fully
   /// resident — the pre-spill behavior, byte for byte). When a store's
   /// resident footprint exceeds the budget at a barrier round, its oldest
@@ -186,11 +171,8 @@ struct TiAdStats {
   /// first ad using it), the coverage view, and the driver's per-ad buffers
   /// (candidate heap, eligibility bitmap, PageRank order).
   uint64_t rr_memory_bytes = 0;
-  /// Inverted-index share of the store bytes (charged like the store), and
-  /// what the pre-CSR vector<vector> layout would have reported for the
-  /// same postings — the Table 3 before/after comparison.
+  /// Inverted-index share of the store bytes (charged like the store).
   uint64_t rr_index_bytes = 0;
-  uint64_t rr_index_legacy_bytes = 0;
   /// Out-of-core tier (rr_memory_budget_bytes > 0; charged to the first
   /// ad using the store, like rr_memory_bytes): bytes of the store
   /// evicted to disk, chunks in its spill file, cold-tier scan passes
@@ -249,7 +231,6 @@ struct TiResult {
   uint64_t total_theta = 0;
   uint64_t total_rr_memory_bytes = 0;
   uint64_t total_rr_index_bytes = 0;
-  uint64_t total_rr_index_legacy_bytes = 0;
   /// Out-of-core tier totals across stores (all 0 when unbudgeted).
   uint64_t total_spilled_bytes = 0;
   uint64_t total_spill_chunks = 0;

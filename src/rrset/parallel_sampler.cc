@@ -73,67 +73,58 @@ void ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
   }
 }
 
-void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
-                                     std::vector<graph::NodeId>* nodes,
-                                     std::vector<uint32_t>* sizes) {
-  nodes->clear();
-  sizes->clear();
+void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
   if (count == 0) return;
   // "sampler.alloc" models the shard buffers failing to allocate — the
   // same std::bad_alloc a real heap exhaustion would raise on the reserve
-  // calls below (on a pool task this marshals to the launcher's Wait).
+  // calls below.
   if (FailPointHit("sampler.alloc") != 0) throw std::bad_alloc();
+  const uint64_t first_id = store.num_sets();
   const uint32_t workers = WorkerCountFor(count);
   if (workers_.size() < workers) workers_.resize(workers);
 
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint32_t> sizes;
   if (workers == 1) {
     // Inline path: no pool dispatch, still the per-id substreams, so the
     // output is identical to any multi-worker run.
     Shard shard;
     SampleRange(0, first_id, count, &shard);
-    *nodes = std::move(shard.nodes);
-    *sizes = std::move(shard.sizes);
-    return;
+    nodes = std::move(shard.nodes);
+    sizes = std::move(shard.sizes);
+  } else {
+    // Contiguous id ranges per worker: worker w gets [lo_w, lo_{w+1}), the
+    // first `count % workers` ranges one set longer. Shards are merged in
+    // range order below, so ids land in the batch exactly in sequence.
+    std::vector<Shard> shards(workers);
+    std::vector<uint64_t> lo(workers + 1, first_id);
+    const uint64_t base = count / workers;
+    const uint64_t extra = count % workers;
+    for (uint32_t w = 0; w < workers; ++w) {
+      lo[w + 1] = lo[w] + base + (w < extra ? 1 : 0);
+    }
+    pool()->Run(workers, [&](uint64_t w) {
+      SampleRange(static_cast<uint32_t>(w), lo[w], lo[w + 1] - lo[w],
+                  &shards[w]);
+    });
+
+    sizes.reserve(count);
+    size_t total_nodes = 0;
+    for (const Shard& s : shards) total_nodes += s.nodes.size();
+    nodes.reserve(total_nodes);
+    for (const Shard& shard : shards) {
+      sizes.insert(sizes.end(), shard.sizes.begin(), shard.sizes.end());
+      nodes.insert(nodes.end(), shard.nodes.begin(), shard.nodes.end());
+    }
+
+    // Release the extra workers' epoch arrays (O(n) each): with one
+    // sampler per advertiser, keeping them alive between growth events
+    // would cost O(ads * threads * n) idle memory. Worker 0 persists for
+    // the inline path's tiny batches; multi-worker batches are large
+    // enough (>= 2 * min_sets_per_thread) to amortize re-creation.
+    workers_.resize(1);
   }
 
-  // Contiguous id ranges per worker: worker w gets [lo_w, lo_{w+1}), the
-  // first `count % workers` ranges one set longer. Shards are merged in
-  // range order below, so ids land in the output exactly in sequence.
-  std::vector<Shard> shards(workers);
-  std::vector<uint64_t> lo(workers + 1, first_id);
-  const uint64_t base = count / workers;
-  const uint64_t extra = count % workers;
-  for (uint32_t w = 0; w < workers; ++w) {
-    lo[w + 1] = lo[w] + base + (w < extra ? 1 : 0);
-  }
-  pool()->Run(workers, [&](uint64_t w) {
-    SampleRange(static_cast<uint32_t>(w), lo[w], lo[w + 1] - lo[w],
-                &shards[w]);
-  });
-
-  sizes->reserve(count);
-  size_t total_nodes = 0;
-  for (const Shard& s : shards) total_nodes += s.nodes.size();
-  nodes->reserve(total_nodes);
-  for (const Shard& shard : shards) {
-    sizes->insert(sizes->end(), shard.sizes.begin(), shard.sizes.end());
-    nodes->insert(nodes->end(), shard.nodes.begin(), shard.nodes.end());
-  }
-
-  // Release the extra workers' epoch arrays (O(n) each): with one sampler
-  // per advertiser, keeping them alive between growth events would cost
-  // O(ads * threads * n) idle memory. Worker 0 persists for the inline
-  // path's tiny batches; multi-worker batches are large enough (>=
-  // 2 * min_sets_per_thread) to amortize re-creation.
-  workers_.resize(1);
-}
-
-void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
-  if (count == 0) return;
-  const uint32_t workers = WorkerCountFor(count);
-  std::vector<graph::NodeId> nodes;
-  std::vector<uint32_t> sizes;
-  SampleToBuffer(store.num_sets(), count, &nodes, &sizes);
   // The whole batch is appended (and indexed) as a unit, so the resulting
   // store, including vector capacities, is identical to a 1-worker run.
   // For the inline path an already-live pool is forwarded for the index

@@ -83,18 +83,6 @@ class ParallelSampler {
   /// store.num_sets() + count) and appends them to `store` in id order.
   void SampleAppend(RrStore& store, uint64_t count);
 
-  /// Samples `count` RR sets with absolute ids [first_id, first_id + count)
-  /// into caller buffers (cleared first) without touching any store:
-  /// `sizes` holds one cardinality per set, `nodes` the concatenated
-  /// members, both in id order — exactly what RrStore::AppendBatch takes.
-  /// This is the async θ-growth path: the selection scheduler launches this
-  /// on pool workers while selection rounds proceed against the unmodified
-  /// store, then appends + adopts at a deterministic barrier. Content
-  /// depends only on (base_seed, id), never on worker count or timing.
-  void SampleToBuffer(uint64_t first_id, uint64_t count,
-                      std::vector<graph::NodeId>* nodes,
-                      std::vector<uint32_t>* sizes);
-
   /// Workers that would be used for a `count`-set batch (diagnostics).
   uint32_t WorkerCountFor(uint64_t count) const;
 

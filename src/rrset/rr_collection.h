@@ -95,9 +95,7 @@ class RrCollection {
 
   /// Adopts sets already present in the store up to prefix length
   /// `new_theta` (>= total_sets(); the store must hold that many, all of
-  /// them resident). This is the async θ-growth barrier path: the
-  /// scheduler samples into side buffers while selection proceeds, appends
-  /// them to the store at the barrier, and adopts here. Coverage
+  /// them resident) — the adoption half of AddSets. Coverage
   /// accumulation shards across `pool` when given and worthwhile;
   /// `touched` as in AddSets.
   void AdoptUpTo(uint64_t new_theta,

@@ -40,10 +40,12 @@ class ThreadPool;
 namespace isa::rrset {
 
 /// Holds no value. Its only uses are the fields
-/// TieredStoreOptions::direct_io/direct_io_min_bytes and
-/// TiOptions::direct_io/direct_io_min_bytes, which exist only because the
-/// benchmark driver (rmbench/src/replay.cc) still copies them field by
-/// field. They are not options and go away with the next benchmark change.
+/// TieredStoreOptions::direct_io/direct_io_min_bytes,
+/// TiOptions::direct_io/direct_io_min_bytes and the deleted async-growth
+/// switch in TiOptions and core::AdvertiserEngineOptions, which exist only
+/// because the benchmark driver (rmbench/src/replay.cc) still copies them
+/// field by field. They are not options and go away with the next
+/// benchmark change.
 struct RmbenchCompat {};
 
 struct TieredStoreOptions {

@@ -1,9 +1,9 @@
 // The staged selection engine (core/advertiser_engine.h +
 // core/selection_scheduler.h): incremental lazy-heap repair must agree
 // with a from-scratch rebuild after arbitrary adopt/remove sequences, the
-// coverage-delta reporting must match brute-force diffs, and async
-// θ-growth must preserve the hard invariant — fixed seed ⇒ bit-identical
-// TiResult at any thread count.
+// coverage-delta reporting must match brute-force diffs, and θ-growth must
+// preserve the hard invariant — fixed seed ⇒ bit-identical TiResult at any
+// thread count.
 
 #include "core/advertiser_engine.h"
 
@@ -187,21 +187,21 @@ TEST_P(HeapRepairCrossCheck, IncrementalMatchesRebuildTop) {
 INSTANTIATE_TEST_SUITE_P(BothKeys, HeapRepairCrossCheck,
                          ::testing::Values(false, true));
 
-// ---- Async θ-growth determinism. ----
+// ---- θ-growth determinism. ----
 
 // High-influence fixture: at p = 0.8 the KPT pilot converges with a large
 // OPT lower bound, so θ(1) is small and θ(s̃) grows cheaply as Eq. 10
 // revises s̃ upward — several growth events per fast run (see
-// GrowthEventsActuallyHappen), which is what puts the async barrier and
-// the incremental heap repair on the hot path. Since the Eq. 8 schedule
+// GrowthEventsActuallyHappen), which is what puts θ-growth and the
+// incremental heap repair on the hot path. Since the Eq. 8 schedule
 // fix, growth engages under default influence as well (the
 // DefaultInfluenceFixture below); this fixture stays as the cheap
 // determinism workhorse.
-struct AsyncFixture {
+struct GrowthFixture {
   Graph g = MakeBaGraph(150, 9);
   std::unique_ptr<RmInstance> instance;
 
-  AsyncFixture() {
+  GrowthFixture() {
     auto topics = topic::MakeUniform(g, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<AdvertiserSpec> ads(3);
@@ -253,12 +253,11 @@ void ExpectTiResultsIdentical(const TiResult& a, const TiResult& b) {
   }
 }
 
-// For every candidate rule (and both window shapes of Algorithm 5), async
-// growth ON and OFF must each yield a bit-identical TiResult at 1, 2 and 8
-// threads — the adoption barrier is keyed by round index and ad order,
-// never by timing.
-TEST(AsyncGrowthTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
-  AsyncFixture f;
+// For every candidate rule (and both window shapes of Algorithm 5), a run
+// whose samples grow must yield a bit-identical TiResult at 1, 2 and 8
+// threads.
+TEST(GrowthDeterminismTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
+  GrowthFixture f;
   struct Config {
     const char* name;
     CandidateRule rule;
@@ -279,74 +278,46 @@ TEST(AsyncGrowthTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
        SelectionRule::kMaxRate, 0, true},
   };
 
-  for (const bool async : {false, true}) {
-    for (const Config& cfg : configs) {
-      SCOPED_TRACE(testing::Message()
-                   << cfg.name << (async ? " async" : " sync"));
-      TiOptions options;
-      options.candidate_rule = cfg.rule;
-      options.selection_rule = cfg.sel;
-      options.window = cfg.window;
-      options.share_samples = cfg.share_samples;
-      options.async_growth = async;
-      options.growth_delay_rounds = 2;
-      options.epsilon = 0.3;
-      options.seed = 1234;
-      options.theta_cap = 200'000;
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(cfg.name);
+    TiOptions options;
+    options.candidate_rule = cfg.rule;
+    options.selection_rule = cfg.sel;
+    options.window = cfg.window;
+    options.share_samples = cfg.share_samples;
+    options.epsilon = 0.3;
+    options.seed = 1234;
+    options.theta_cap = 200'000;
 
-      TiResult reference;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message() << threads << " threads");
-        options.num_threads = threads;
-        auto result = RunTiGreedy(*f.instance, options);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        if (threads == 1u) {
-          reference = result.value();
-          EXPECT_GT(reference.total_seeds, 0u);
-          continue;
-        }
-        ExpectTiResultsIdentical(reference, result.value());
+    TiResult reference;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      options.num_threads = threads;
+      auto result = RunTiGreedy(*f.instance, options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      if (threads == 1u) {
+        reference = result.value();
+        EXPECT_GT(reference.total_seeds, 0u);
+        continue;
       }
+      ExpectTiResultsIdentical(reference, result.value());
     }
   }
 }
 
-// The overlap must actually engage on this fixture (growth events > 0), or
-// the determinism sweep above is vacuous.
-TEST(AsyncGrowthTest, GrowthEventsActuallyHappen) {
-  AsyncFixture f;
+// Growth must actually engage on this fixture (growth events > 0), or the
+// determinism sweep above is vacuous.
+TEST(GrowthDeterminismTest, GrowthEventsActuallyHappen) {
+  GrowthFixture f;
   TiOptions options;
   options.epsilon = 0.3;
   options.seed = 1234;
   options.theta_cap = 200'000;
-  options.async_growth = true;
   auto res = RunTiCsrm(*f.instance, options);
   ASSERT_TRUE(res.ok());
   uint64_t events = 0;
   for (const auto& st : res.value().ad_stats) events += st.sample_growth_events;
   EXPECT_GT(events, 0u);
-}
-
-// Async growth is a schedule change, not an estimator change: the run must
-// stay feasible and produce a disjoint allocation under every delay.
-TEST(AsyncGrowthTest, FeasibleAndDisjointAcrossDelays) {
-  AsyncFixture f;
-  for (uint32_t delay : {1u, 2u, 5u, 64u}) {
-    SCOPED_TRACE(testing::Message() << "delay " << delay);
-    TiOptions options;
-    options.epsilon = 0.3;
-    options.seed = 77;
-    options.theta_cap = 200'000;
-    options.async_growth = true;
-    options.growth_delay_rounds = delay;
-    auto res = RunTiCsrm(*f.instance, options);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(res.value().allocation.IsDisjoint(f.instance->num_nodes()));
-    for (uint32_t j = 0; j < f.instance->num_ads(); ++j) {
-      EXPECT_LE(res.value().ad_stats[j].payment,
-                f.instance->budget(j) + 1e-6);
-    }
-  }
 }
 
 // ---- θ-growth under DEFAULT influence (the Eq. 8 schedule fix). ----
@@ -378,83 +349,60 @@ struct DefaultInfluenceFixture {
     instance = std::make_unique<RmInstance>(std::move(inst).value());
   }
 
-  TiOptions Options(bool async) const {
+  TiOptions Options() const {
     TiOptions options;
     options.epsilon = 0.5;
     options.seed = 99;
     options.theta_cap = 150'000;
-    options.async_growth = async;
     return options;
   }
 };
 
-// The acceptance gate for the schedule fix: growth adoptions happen (sync
-// and async alike) in the default-influence regime, and the sample really
-// is larger than anything a non-growing schedule would have drawn.
+// The acceptance gate for the schedule fix: growth adoptions happen in the
+// default-influence regime, and the sample really is larger than anything
+// a non-growing schedule would have drawn.
 TEST(GrowthRegimeTest, ThetaGrowthEngagesUnderDefaultInfluence) {
   DefaultInfluenceFixture f;
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    auto res = RunTiCsrm(*f.instance, f.Options(async));
-    ASSERT_TRUE(res.ok()) << res.status().message();
-    const TiResult& r = res.value();
-    EXPECT_GT(r.total_growth_events, 0u);
-    EXPECT_GT(r.ads_growth_engaged, 0u);
-    // An engaged ad's final θ must exceed its start-of-run θ(1): the
-    // growth events actually enlarged the sample. θ(1) is reproduced from
-    // the instance with the run's own sizer parameters.
-    for (uint32_t j = 0; j < r.ad_stats.size(); ++j) {
-      const TiAdStats& st = r.ad_stats[j];
-      if (st.sample_growth_events == 0) continue;
-      rrset::SampleSizerOptions so;
-      so.epsilon = 0.5;
-      so.theta_cap = 150'000;
-      so.seed = HashSeed(99, 1000 + j);
-      rrset::SampleSizer sizer(f.instance->graph(), f.instance->ad_probs(j),
-                               so);
-      EXPECT_GT(st.theta, sizer.ThetaFor(1)) << "ad " << j;
-      EXPECT_GE(st.latent_seed_size, st.seeds);
-    }
+  auto res = RunTiCsrm(*f.instance, f.Options());
+  ASSERT_TRUE(res.ok()) << res.status().message();
+  const TiResult& r = res.value();
+  EXPECT_GT(r.total_growth_events, 0u);
+  EXPECT_GT(r.ads_growth_engaged, 0u);
+  // An engaged ad's final θ must exceed its start-of-run θ(1): the growth
+  // events actually enlarged the sample. θ(1) is reproduced from the
+  // instance with the run's own sizer parameters.
+  for (uint32_t j = 0; j < r.ad_stats.size(); ++j) {
+    const TiAdStats& st = r.ad_stats[j];
+    if (st.sample_growth_events == 0) continue;
+    rrset::SampleSizerOptions so;
+    so.epsilon = 0.5;
+    so.theta_cap = 150'000;
+    so.seed = HashSeed(99, 1000 + j);
+    rrset::SampleSizer sizer(f.instance->graph(), f.instance->ad_probs(j),
+                             so);
+    EXPECT_GT(st.theta, sizer.ThetaFor(1)) << "ad " << j;
+    EXPECT_GE(st.latent_seed_size, st.seeds);
   }
 }
 
 // Bit-identity on the default-influence fixture too: the growth path that
-// now actually runs must stay deterministic at any thread count, async on
-// and off.
+// now actually runs must stay deterministic at any thread count.
 TEST(GrowthRegimeTest, DefaultInfluenceBitIdenticalAcrossThreadCounts) {
   DefaultInfluenceFixture f;
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    TiOptions options = f.Options(async);
-    TiResult reference;
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads");
-      options.num_threads = threads;
-      auto result = RunTiCsrm(*f.instance, options);
-      ASSERT_TRUE(result.ok()) << result.status().message();
-      if (threads == 1u) {
-        reference = result.value();
-        EXPECT_GT(reference.total_growth_events, 0u);
-        continue;
-      }
-      ExpectTiResultsIdentical(reference, result.value());
+  TiOptions options = f.Options();
+  TiResult reference;
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    auto result = RunTiCsrm(*f.instance, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    if (threads == 1u) {
+      reference = result.value();
+      EXPECT_GT(reference.total_growth_events, 0u);
+      continue;
     }
+    ExpectTiResultsIdentical(reference, result.value());
   }
-}
-
-// Deterministic in the seed with async on (run-to-run, same thread count).
-TEST(AsyncGrowthTest, DeterministicInSeed) {
-  AsyncFixture f;
-  TiOptions options;
-  options.epsilon = 0.3;
-  options.seed = 4321;
-  options.theta_cap = 200'000;
-  options.async_growth = true;
-  options.num_threads = 4;
-  auto a = RunTiCsrm(*f.instance, options);
-  auto b = RunTiCsrm(*f.instance, options);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectTiResultsIdentical(a.value(), b.value());
 }
 
 // ---- Budget-exhaustion stop (EnsureFeasibleCandidate). ----
@@ -525,17 +473,14 @@ constexpr StopConfig kStopConfigs[] = {
     {"pagerank-rr", CandidateRule::kPageRank, SelectionRule::kRoundRobin, 0},
 };
 
-TiOptions StopOptions(const StopConfig& cfg, const StopInstance& spec,
-                      bool async) {
+TiOptions StopOptions(const StopConfig& cfg, const StopInstance& spec) {
   TiOptions options;
   options.candidate_rule = cfg.rule;
   options.selection_rule = cfg.sel;
   options.window = cfg.window;
-  options.async_growth = async;
   options.epsilon = 0.8;
   options.seed = 31;
   options.theta_cap = spec.theta_cap;
-  options.growth_delay_rounds = 4;
   options.num_threads = 1;
   return options;
 }
@@ -558,7 +503,6 @@ std::vector<std::unique_ptr<AdvertiserEngine>> MakeEngines(
     eo.ratio_keyed_heap =
         options.candidate_rule == CandidateRule::kCoverageCostRatio &&
         options.window == 0;
-    eo.async_capable = options.async_growth;
     eo.sampler_seed = HashSeed(options.seed, j);
     eo.sizer = std::make_shared<const rrset::SampleSizer>(
         inst.graph(), inst.ad_probs(j), so);
@@ -583,41 +527,36 @@ Allocation RunScheduler(
 
 // The stop must not change a single result: same allocation and per-ad
 // estimates as the exhaustive one-node-at-a-time retirement, for every
-// rule, sync and async growth; synchronously also the allocation
-// RunTiGreedy gives.
+// rule, and the allocation RunTiGreedy gives.
 TEST(BudgetStopTest, AllocationMatchesExhaustiveRetirement) {
   uint64_t growths = 0;
   for (const StopInstance& spec : kStopInstances) {
     StopFixture f(spec);
     const RmInstance& inst = *f.instance;
     for (const StopConfig& cfg : kStopConfigs) {
-      for (const bool async : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "seed " << spec.seed << (spec.priced ? " priced" : "")
-                     << " cap " << spec.theta_cap << " " << cfg.name
-                     << (async ? " async" : " sync"));
-        const TiOptions options = StopOptions(cfg, spec, async);
-        ThreadPool pool(1);
-        auto fast = MakeEngines(inst, options, pool, true);
-        auto slow = MakeEngines(inst, options, pool, false);
-        const Allocation a = RunScheduler(inst, options, pool, fast);
-        const Allocation b = RunScheduler(inst, options, pool, slow);
-        EXPECT_EQ(a.seed_sets, b.seed_sets);
-        for (uint32_t j = 0; j < inst.num_ads(); ++j) {
-          EXPECT_EQ(fast[j]->revenue(), slow[j]->revenue());
-          EXPECT_EQ(fast[j]->payment(), slow[j]->payment());
-          EXPECT_EQ(fast[j]->theta(), slow[j]->theta());
-          EXPECT_EQ(fast[j]->growth_events(), slow[j]->growth_events());
-          growths += fast[j]->growth_events();
-        }
-        if (async) continue;
-        auto run = RunTiGreedy(inst, options);
-        ASSERT_TRUE(run.ok());
-        EXPECT_EQ(run.value().allocation.seed_sets, a.seed_sets);
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << spec.seed << (spec.priced ? " priced" : "")
+                   << " cap " << spec.theta_cap << " " << cfg.name);
+      const TiOptions options = StopOptions(cfg, spec);
+      ThreadPool pool(1);
+      auto fast = MakeEngines(inst, options, pool, true);
+      auto slow = MakeEngines(inst, options, pool, false);
+      const Allocation a = RunScheduler(inst, options, pool, fast);
+      const Allocation b = RunScheduler(inst, options, pool, slow);
+      EXPECT_EQ(a.seed_sets, b.seed_sets);
+      for (uint32_t j = 0; j < inst.num_ads(); ++j) {
+        EXPECT_EQ(fast[j]->revenue(), slow[j]->revenue());
+        EXPECT_EQ(fast[j]->payment(), slow[j]->payment());
+        EXPECT_EQ(fast[j]->theta(), slow[j]->theta());
+        EXPECT_EQ(fast[j]->growth_events(), slow[j]->growth_events());
+        growths += fast[j]->growth_events();
       }
+      auto run = RunTiGreedy(inst, options);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(run.value().allocation.seed_sets, a.seed_sets);
     }
   }
-  EXPECT_GT(growths, 0u);  // the growth paths were on the way
+  EXPECT_GT(growths, 0u);  // the growth path was on the way
 }
 
 // Whenever an ad ends a candidate stage without a candidate while eligible
@@ -637,7 +576,7 @@ TEST(BudgetStopTest, NoEligibleNodeFeasibleWhenStopFires) {
       StopFixture f(spec);
       const RmInstance& inst = *f.instance;
       const double dn = static_cast<double>(inst.num_nodes());
-      TiOptions options = StopOptions(cfg, spec, /*async=*/false);
+      TiOptions options = StopOptions(cfg, spec);
       ThreadPool pool(1);
       auto ads = MakeEngines(inst, options, pool, true);
       Allocation stepped;
@@ -680,14 +619,13 @@ TEST(BudgetStopTest, NoEligibleNodeFeasibleWhenStopFires) {
 }
 
 // The stop leaves the ground set as it is, where the exhaustive loop
-// retires every covered node; while a growth is pending (which may lower
-// the payment) it must stand aside and let that loop run.
-TEST(BudgetStopTest, PendingGrowthKeepsExhaustiveRetirement) {
+// retires every covered node: at budget 0 neither finds a candidate.
+TEST(BudgetStopTest, StopLeavesGroundSetUnretired) {
   const StopInstance& spec = kStopInstances[2];  // priced, θ grows
   StopFixture f(spec);
   const RmInstance& inst = *f.instance;
-  const TiOptions options = StopOptions(kStopConfigs[1], spec, true);
-  ThreadPool pool(2);
+  const TiOptions options = StopOptions(kStopConfigs[1], spec);
+  ThreadPool pool(1);
   auto covered_eligible = [&](const AdvertiserEngine& e) {
     uint32_t count = 0;
     for (graph::NodeId v = 0; v < inst.num_nodes(); ++v) {
@@ -695,41 +633,14 @@ TEST(BudgetStopTest, PendingGrowthKeepsExhaustiveRetirement) {
     }
     return count;
   };
-
-  // No growth pending: at budget 0 the stop fires and retires nothing.
-  {
-    auto fast = MakeEngines(inst, options, pool, true);
-    auto slow = MakeEngines(inst, options, pool, false);
-    fast[0]->EnsureFeasibleCandidate(0.0);
-    slow[0]->EnsureFeasibleCandidate(0.0);
-    EXPECT_FALSE(fast[0]->has_candidate());
-    EXPECT_FALSE(slow[0]->has_candidate());
-    EXPECT_GT(covered_eligible(*fast[0]), 0u);
-    EXPECT_EQ(covered_eligible(*slow[0]), 0u);
-  }
-
-  // Growth pending: commit one seed, start a growth, then leave no room.
   auto fast = MakeEngines(inst, options, pool, true);
   auto slow = MakeEngines(inst, options, pool, false);
-  for (AdvertiserEngine* e : {fast[0].get(), slow[0].get()}) {
-    e->EnsureFeasibleCandidate(inst.budget(0));
-    ASSERT_TRUE(e->has_candidate());
-    const graph::NodeId v = e->candidate();
-    e->MarkNodeTaken(v);
-    e->CommitSeed(v);
-    e->BeginAsyncGrowth(2 * e->theta(), /*adopt_round=*/1, pool);
-    e->EnsureFeasibleCandidate(e->payment());
-    EXPECT_FALSE(e->has_candidate());
-  }
-  EXPECT_EQ(covered_eligible(*fast[0]), 0u);
-  EXPECT_TRUE(std::ranges::equal(fast[0]->eligible_for_test(),
-                                 slow[0]->eligible_for_test()));
-  for (AdvertiserEngine* e : {fast[0].get(), slow[0].get()}) {
-    e->AdoptPendingGrowth(pool);
-    e->EnsureFeasibleCandidate(inst.budget(0));
-  }
-  EXPECT_EQ(fast[0]->payment(), slow[0]->payment());
-  EXPECT_EQ(fast[0]->candidate(), slow[0]->candidate());
+  fast[0]->EnsureFeasibleCandidate(0.0);
+  slow[0]->EnsureFeasibleCandidate(0.0);
+  EXPECT_FALSE(fast[0]->has_candidate());
+  EXPECT_FALSE(slow[0]->has_candidate());
+  EXPECT_GT(covered_eligible(*fast[0]), 0u);
+  EXPECT_EQ(covered_eligible(*slow[0]), 0u);
 }
 
 // The stop's bound is the price of a coverage-1 seed at the minimum
@@ -739,7 +650,7 @@ TEST(BudgetStopTest, BoundIsTightAtTheSlack) {
   const StopInstance& spec = kStopInstances[4];  // priced, θ capped at 200
   StopFixture f(spec);
   const RmInstance& inst = *f.instance;
-  const TiOptions options = StopOptions(kStopConfigs[1], spec, false);
+  const TiOptions options = StopOptions(kStopConfigs[1], spec);
   ThreadPool pool(1);
   for (const double offset : {0.5 * kBudgetSlack, 2.0 * kBudgetSlack}) {
     SCOPED_TRACE(testing::Message() << "offset " << offset);

@@ -501,19 +501,16 @@ TEST(RrStoreIndexTest, EarlyExitStopsAscendingScan) {
   for (uint32_t k = 0; k < 10; ++k) EXPECT_EQ(seen[k], k);
 }
 
-TEST(RrStoreIndexTest, MemoryAccountingCoversIndexAndBeatsLegacyLayout) {
+TEST(RrStoreIndexTest, MemoryAccountingCoversIndex) {
   auto g = test::MustGraph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   std::vector<double> probs(g.num_edges(), 0.6);
   RrSampler sampler(g, probs);
   RrStore store(4);
   Rng rng(33);
-  // 500 postings per popular node: bit_ceil rounds the legacy per-node
-  // capacity to 512, so exact-fit CSR postings must come out smaller.
   store.Sample(sampler, 500, rng);
   EXPECT_GT(store.MemoryBytes(), 0u);
   EXPECT_GT(store.IndexBytes(), 0u);
   EXPECT_LT(store.IndexBytes(), store.MemoryBytes());
-  EXPECT_LE(store.IndexBytes(), store.LegacyIndexBytes());
 }
 
 // ---------- SampleSizer ----------

@@ -116,7 +116,8 @@ TEST(ThreadPoolTest, RunInlinePathAlsoPropagates) {
                std::bad_alloc);
 }
 
-// ---- Launch / TaskGroup (the async θ-growth primitive). ----
+// ---- Launch / TaskGroup (the cold-tier read primitive behind
+// common::AsyncFileReader). ----
 
 TEST(ThreadPoolTest, LaunchRunsEveryIndexExactlyOnceAfterWait) {
   ThreadPool pool(4);
@@ -170,8 +171,8 @@ TEST(ThreadPoolTest, TaskGroupDestructorJoinsWithoutThrowing) {
 }
 
 TEST(ThreadPoolTest, LaunchOverlapsWithForegroundRuns) {
-  // The async-growth shape: a background batch in flight while the caller
-  // keeps issuing fork-join rounds on the same pool.
+  // The cold-scan shape: chunk reads in flight while the caller keeps
+  // issuing fork-join rounds on the same pool.
   ThreadPool pool(4);
   std::atomic<uint64_t> background{0};
   ThreadPool::TaskGroup group = pool.Launch(

@@ -49,11 +49,6 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
   --theta-cap T         max RR sets per advertiser       [500000]
   --threads T           RR sampling workers (0 = hardware) [0]
   --share-samples       share RR stores across identical ads
-  --async-growth        overlap sample growth with selection rounds
-                        (deterministic barrier; see TiOptions)
-  --growth-delay R      rounds between an async growth trigger and
-                        its adoption barrier (requires
-                        --async-growth; must be >= 1)      [2]
   --rr-memory-budget B  resident bytes per RR store before the oldest
                         fully-adopted sets spill to disk (0 = keep
                         everything resident; spilling never changes
@@ -91,9 +86,9 @@ int main(int argc, char** argv) {
       argc, argv,
       {"graph", "synthetic", "nodes", "ads", "budget", "cpe", "incentives",
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
-       "threads", "share-samples", "async-growth", "growth-delay",
-       "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "io-ring-depth",
-       "failpoints", "seed", "seeds-csv", "validate", "help"});
+       "threads", "share-samples", "rr-memory-budget", "spill-dir",
+       "spill-chunk-bytes", "io-ring-depth", "failpoints", "seed",
+       "seeds-csv", "validate", "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -104,18 +99,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // ---- Numeric flags, all parsed before any work: a malformed value is
-  // an error naming the flag, never a silent fall-back to the default.
-  isa::Status bad_number;
-  const auto get_int = [&](const char* name, int64_t def) {
-    const auto r = flags.GetInt(name, def);
-    if (!r.ok() && bad_number.ok()) bad_number = r.status();
+  // ---- Numeric and boolean flags, all parsed before any work: a
+  // malformed value is an error naming the flag, never a silent fall-back
+  // to the default.
+  isa::Status bad_value;
+  const auto checked = [&](const auto& r, auto def) {
+    if (!r.ok() && bad_value.ok()) bad_value = r.status();
     return r.ok() ? r.value() : def;
   };
+  const auto get_int = [&](const char* name, int64_t def) {
+    return checked(flags.GetInt(name, def), def);
+  };
   const auto get_double = [&](const char* name, double def) {
-    const auto r = flags.GetDouble(name, def);
-    if (!r.ok() && bad_number.ok()) bad_number = r.status();
-    return r.ok() ? r.value() : def;
+    return checked(flags.GetDouble(name, def), def);
+  };
+  const auto get_bool = [&](const char* name) {
+    return checked(flags.GetBool(name, false), false);
   };
   const int64_t rr_budget = get_int("rr-memory-budget", 0);
   const int64_t seed_flag = get_int("seed", 42);
@@ -128,38 +127,11 @@ int main(int argc, char** argv) {
   const int64_t window = get_int("window", 0);
   const int64_t theta_cap = get_int("theta-cap", 500'000);
   const int64_t threads = get_int("threads", 0);
-  const int64_t growth_delay = get_int("growth-delay", 2);
   const int64_t spill_chunk_bytes = get_int("spill-chunk-bytes", 4ll << 20);
   const int64_t io_ring_depth = get_int("io-ring-depth", 16);
-  if (!bad_number.ok()) return Fail(bad_number);
-
-  // ---- Growth-scheduling flag validation (before any expensive work).
-  // The engine itself treats growth-delay < 1 as 1 and silently ignores a
-  // delay without async mode; at the CLI boundary both are user error —
-  // reject them loudly instead of running a schedule the user didn't ask
-  // for.
-  const bool async_growth =
-      flags.GetBool("async-growth", false).value_or(false);
-  if (flags.Has("growth-delay")) {
-    if (!async_growth) {
-      return Fail(isa::Status::InvalidArgument(
-          "--growth-delay only applies to async growth; add --async-growth "
-          "or drop --growth-delay"));
-    }
-    if (growth_delay < 1) {
-      return Fail(isa::Status::InvalidArgument(
-          "--growth-delay must be >= 1 round (a growth triggered in round "
-          "r adopts at round r + delay; 0 would adopt before sampling "
-          "finishes deterministically)"));
-    }
-  }
-  if (async_growth &&
-      flags.GetBool("share-samples", false).value_or(false)) {
-    std::fprintf(stderr,
-                 "note: --share-samples makes shared-store ads grow "
-                 "synchronously; --async-growth only overlaps ads with "
-                 "private stores\n");
-  }
+  const bool share_samples = get_bool("share-samples");
+  const bool validate = get_bool("validate");
+  if (!bad_value.ok()) return Fail(bad_value);
 
   // Spill-tier flag validation: a negative budget is a typo, and a spill
   // directory without a budget would silently do nothing.
@@ -303,11 +275,7 @@ int main(int argc, char** argv) {
   options.theta_cap = static_cast<uint64_t>(theta_cap);
   options.num_threads = static_cast<uint32_t>(threads);
   options.seed = seed;
-  options.share_samples =
-      flags.GetBool("share-samples", false).value_or(false);
-  options.async_growth =
-      flags.GetBool("async-growth", false).value_or(false);
-  options.growth_delay_rounds = static_cast<uint32_t>(growth_delay);
+  options.share_samples = share_samples;
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
@@ -421,7 +389,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", csv.c_str());
   }
 
-  if (flags.GetBool("validate", false).value_or(false)) {
+  if (validate) {
     isa::diffusion::CascadeSimulator sim(graph);
     double mc_revenue = 0.0;
     for (uint32_t j = 0; j < h; ++j) {
